@@ -1,36 +1,15 @@
 """High-breakdown robust regression: LTS, MCD distances, and leverage diagnostics."""
 
-from .core_stats import (
-    chi2_cdf,
-    chi2_quantile,
-    determinant,
-    gaussian_quantile,
-    mean_and_cov,
-    solve_spd,
-    student_t_cdf,
-)
-from .diagnostics import (
-    Classification,
-    DiagnosticRecord,
-    DiagnosticThresholds,
-    PlotData,
-    classify,
-    classify_all,
-    outlier_map,
-)
+from .core_stats import chi2_cdf, chi2_quantile, determinant, gaussian_quantile, mean_and_cov
+from .core_stats import solve_spd, student_t_cdf
+from .diagnostics import Classification, DiagnosticRecord, DiagnosticThresholds, PlotData
+from .diagnostics import classify, classify_all, outlier_map
 from .lts import LtsConfig, LtsFit, c_step, fit_lts, lts_objective, standardize_residuals
 from .mcd import McdConfig, McdEstimate, fit_mcd, mcd_c_step, robust_distances
 from .ols import Dataset, RegressionFit, fit_ols, predict
 from .oracle import OracleResult, exact_lts, exact_mcd
-from .pipeline import (
-    AnalysisConfig,
-    AnalysisReport,
-    ModelSpec,
-    load_csv,
-    render_report,
-    report_from_json,
-    run_analysis,
-)
+from .pipeline import AnalysisConfig, AnalysisReport, ModelSpec, load_csv, render_report
+from .pipeline import report_from_json, run_analysis
 
 __version__ = "0.1.0"
 

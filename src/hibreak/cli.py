@@ -15,7 +15,6 @@ from .errors import (
     HibreakError,
     MissingColumn,
     ParseError,
-    PipelineStageError,
     TooLarge,
 )
 from .lts import LtsConfig, fit_lts, trimmed_size
@@ -118,7 +117,7 @@ def _run_analyze(args) -> int:
     except TooLarge as err:
         print(f"hibreak: input too large for --oracle: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (PipelineStageError, HibreakError) as err:
+    except HibreakError as err:  # includes the PipelineStageError of each stage
         print(f"hibreak: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,0 +1,152 @@
+"""Batched concentration-step search shared by LTS and MCD.
+
+FAST-LTS and FAST-MCD (Rousseeuw & Van Driessen 2006 and 1999) share one
+schedule: many small start subsets, two concentration steps (C-steps)
+each, then the n_best_kept best trials iterate to convergence. A C-step
+refits on the h rows that score lowest under the current fit, which never
+increases the objective. Here a block of trials runs as stacked arrays:
+(T, n) scores, their (T, n) 0/1 mask of the h lowest, and fits from the
+mask times per-row terms (one matmul). A degenerate trial is dropped alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import numpy as np
+
+from .errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
+
+# Subset optima repeat bitwise at a fixed point, so a trial has converged
+# when a step changes its objective by <= this relative amount.
+CONVERGENCE_RTOL = 1e-12
+
+# Up to these sizes every (dim+1)-row start is enumerated, removing all
+# seed dependence where the exhaustive oracle can check the result; dim is
+# the coefficient count for LTS and the predictor count for MCD.
+EXHAUSTIVE_MAX_N = 16
+EXHAUSTIVE_MAX_DIM = 3
+
+# Memory budget of a block of T trials: entries of one of its (T, n) score
+# arrays or (T, c) sums of the n x c per-row terms.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+@dataclass(frozen=True)
+class Model:
+    """The model-specific pieces of a search.
+
+    fit(terms summed over each trial's rows, row count) returns (params,
+    objectives, ok): a tuple of arrays with a leading trial axis, and the
+    (T,) objectives and non-degenerate mask. score(params) gives the (T, n)
+    scores a C-step ranks rows by. refit(rows) is the scalar path of the
+    reported estimate: (objective, estimate) for one subset, or
+    RankDeficientSubset / SingularSubset.
+    """
+
+    terms: np.ndarray
+    fit: Callable[[np.ndarray, int], tuple[tuple, np.ndarray, np.ndarray]]
+    score: Callable[[tuple], np.ndarray]
+    refit: Callable[[np.ndarray], tuple[float, Any]]
+
+
+@dataclass(frozen=True)
+class Search:
+    objective: float
+    estimate: Any
+    rows: np.ndarray
+    converged: bool
+    n_csteps: int
+
+
+def lowest_mask(scores: np.ndarray, h: int) -> np.ndarray:
+    """0/1 mask of the h lowest of each row of scores; ties go to the lowest index."""
+    kth = np.partition(scores, h - 1, axis=1)[:, h - 1 : h]
+    below = scores < kth
+    tied = scores == kth
+    room = h - below.sum(axis=1, keepdims=True)
+    if np.any(tied.sum(axis=1, keepdims=True) > room):
+        tied &= np.cumsum(tied, axis=1) <= room
+    return (below | tied).astype(float)
+
+
+def lowest_rows(scores: np.ndarray, h: int) -> np.ndarray:
+    """Ascending indices of the h lowest scores; ties go to the lowest index."""
+    return np.flatnonzero(lowest_mask(scores[None], h)[0])
+
+
+def draw_starts(n: int, dim: int, config) -> np.ndarray:
+    """(T, dim+1) start rows: every subset on small instances, else seeded draws."""
+    if n <= EXHAUSTIVE_MAX_N and dim <= EXHAUSTIVE_MAX_DIM:
+        return np.array(list(itertools.combinations(range(n), dim + 1)))
+    rng = np.random.default_rng(config.seed)
+    return np.array(
+        [np.sort(rng.choice(n, size=dim + 1, replace=False)) for _ in range(config.n_starts)]
+    )
+
+
+def _take(params: tuple, index) -> tuple:
+    return tuple(a[index] for a in params)
+
+
+def _c_step(model: Model, params: tuple, h: int):
+    mask = lowest_mask(model.score(params), h)
+    return (*model.fit(mask @ model.terms, h), mask)
+
+
+def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
+    """Two C-steps from each start, then refine the config.n_best_kept best.
+
+    Trials rank by (objective, trial index); a refined trial stops when it
+    converges or after config.max_csteps. The winner is the refined trial
+    with the lowest (refit objective, trial index). n_csteps counts the
+    C-steps trials completed without turning degenerate.
+    """
+    n = model.terms.shape[0]
+    block = max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
+    n_csteps = 0
+
+    kept = None  # (objectives, trials, *params) of the best n_best_kept so far
+    for first in range(0, len(starts), block):
+        trial = np.arange(first, min(first + block, len(starts)))
+        mask = np.zeros((len(trial), n))
+        np.put_along_axis(mask, starts[trial], 1.0, axis=1)
+        params, objective, ok = model.fit(mask @ model.terms, starts.shape[1])
+        trial, params = trial[ok], _take(params, ok)
+        for _ in range(2):
+            params, objective, ok, _ = _c_step(model, params, h)
+            trial, params, objective = trial[ok], _take(params, ok), objective[ok]
+            n_csteps += len(trial)
+        merged = (objective, trial, *params)
+        if kept is not None:
+            merged = tuple(map(np.concatenate, zip(kept, merged)))
+        kept = _take(merged, np.lexsort((merged[1], merged[0]))[: config.n_best_kept])
+
+    finished = []  # (trial, converged, mask) of each refined trial
+    for first in range(0, len(kept[1]), block):
+        objective, trial, *params = _take(kept, slice(first, first + block))
+        for step in range(config.max_csteps):
+            params, new_objective, ok, mask = _c_step(model, params, h)
+            n_csteps += int(ok.sum())
+            converged = objective - new_objective <= CONVERGENCE_RTOL * objective
+            done = ok & (converged | (step == config.max_csteps - 1))
+            finished += [(trial[t], converged[t], mask[t]) for t in np.flatnonzero(done)]
+            live = ok & ~done
+            if not live.any():
+                break
+            objective, trial, params = new_objective[live], trial[live], _take(params, live)
+
+    best = None
+    for trial, converged, mask in finished:
+        rows = np.flatnonzero(mask)
+        try:
+            objective, estimate = model.refit(rows)
+        except (RankDeficientSubset, SingularSubset):
+            continue
+        if best is None or (objective, trial) < (best.objective, best_trial):
+            best, best_trial = Search(objective, estimate, rows, bool(converged), n_csteps), trial
+    if best is None:
+        raise AllStartsDegenerate("every start or refined trial turned degenerate")
+    return best

@@ -6,7 +6,7 @@ Everything here is a pure function, safe to call from any thread.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import chdtr, chdtri, ndtri, stdtr
 
 from .errors import DomainError, NotPositiveDefinite
@@ -15,43 +15,41 @@ from .errors import DomainError, NotPositiveDefinite
 PIVOT_RTOL = 1e-12
 
 
-def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (T, K, K) stack of symmetric matrices via LAPACK.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    PIVOT_RTOL * max(diag(a)), the signature of collinear input.
+    ok[t] is False when a pivot L[j, j]**2 of a[t] is at or below
+    PIVOT_RTOL * max(diag(a[t])), the signature of collinear input; that
+    factor becomes the identity, so one bad matrix never fails the others.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    max_diag = float(np.max(np.diag(a))) if n else 0.0
-    tol = PIVOT_RTOL * max_diag
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= tol or not np.isfinite(pivot):
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is at or below {tol:.3e}"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:  # LAPACK rejected some matrix: find which
+        low = np.full_like(a, np.nan)
+        for t, matrix in enumerate(a):
+            try:
+                low[t] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
+    tol = PIVOT_RTOL * np.diagonal(a, axis1=1, axis2=2).max(axis=1)
+    ok = np.all(pivots > tol[:, None], axis=1)
+    low[~ok] = np.eye(a.shape[-1])
+    return low, ok
 
 
-def cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L @ L.T) x = b by substitution given the lower factor L.
+def cholesky_spd(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one matrix; NotPositiveDefinite if spd_factor rejects it."""
+    low, ok = spd_factor(np.asarray(a, dtype=float)[None])
+    if not ok[0]:
+        raise NotPositiveDefinite(f"a Cholesky pivot is at or below {PIVOT_RTOL:g} * max(diag)")
+    return low[0]
 
-    Plain loops: for the small systems this package solves in bulk they
-    beat the call overhead of the LAPACK wrappers by a wide margin.
-    """
-    n = low.shape[0]
-    z = np.empty(n)
-    for i in range(n):
-        z[i] = (b[i] - low[i, :i] @ z[:i]) / low[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (z[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+
+def factor_determinant(low: np.ndarray) -> np.ndarray:
+    """Determinant of L @ L.T from its lower factor (or a stack of factors)."""
+    return np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1) ** 2
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,7 +67,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(a))) or 1.0
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10 relative")
-    return cholesky_solve(cholesky_spd(a), b)
+    return cho_solve((cholesky_spd(a), True), b)
 
 
 def spd_inverse_diag(low: np.ndarray) -> np.ndarray:

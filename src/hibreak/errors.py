@@ -17,7 +17,7 @@ class RankDeficient(HibreakError):
     """The design matrix has collinear columns."""
 
 
-class TooFewRows(HibreakError):
+class TooFewRows(HibreakError, ValueError):
     """Not enough rows to fit the requested number of coefficients."""
 
 

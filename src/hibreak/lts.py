@@ -9,24 +9,16 @@ each briefly, and iterates only the most promising trials to convergence.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from .core_stats import cholesky_solve, cholesky_spd, gaussian_quantile
-from .errors import AllStartsDegenerate, NotPositiveDefinite, RankDeficientSubset
+from .concentration import Model, concentrate, draw_starts, lowest_rows
+from .core_stats import cholesky_spd, gaussian_quantile, spd_factor
+from .errors import NotPositiveDefinite, RankDeficientSubset
 from .ols import Dataset
-
-# Subset-OLS optima repeat bitwise at a fixed point, so convergence is
-# declared when a step changes the objective by <= this relative amount.
-CONVERGENCE_RTOL = 1e-12
-
-# Below these sizes every (K+1)-row start is enumerated, removing all
-# seed dependence on the instances the exhaustive oracle can check.
-EXHAUSTIVE_MAX_N = 16
-EXHAUSTIVE_MAX_K = 3
 
 
 @dataclass(frozen=True)
@@ -88,37 +80,41 @@ def consistency_factor(h: int, n: int) -> float:
     return 1.0 / math.sqrt(1.0 - 2.0 * k * phi / q)
 
 
-def _subset_ols(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """OLS coefficients on the given rows; RankDeficientSubset if collinear."""
-    xs = x[rows]
-    try:
-        low = cholesky_spd(xs.T @ xs)
-    except NotPositiveDefinite as err:
-        raise RankDeficientSubset(str(err)) from err
-    return cholesky_solve(low, xs.T @ y[rows])
-
-
 def _squared_residuals(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     r = y - x @ beta
     return r * r
 
 
-def _h_smallest(r2: np.ndarray, h: int) -> np.ndarray:
-    """Row indices of the h smallest values, ties to the lowest index, ascending."""
-    return np.sort(np.argsort(r2, kind="stable")[:h])
-
-
 def _objective(r2: np.ndarray, h: int) -> float:
     """Sum of the h smallest squared residuals, accumulated in sorted order."""
-    return float(r2[np.argsort(r2, kind="stable")[:h]].sum())
+    return float(np.sort(r2)[:h].sum())
 
 
-def _c_step(
-    x: np.ndarray, y: np.ndarray, beta: np.ndarray, h: int
-) -> tuple[np.ndarray, float, np.ndarray]:
-    subset = _h_smallest(_squared_residuals(x, y, beta), h)
-    new_beta = _subset_ols(x, y, subset)
-    return new_beta, _objective(_squared_residuals(x, y, new_beta), h), subset
+def _subset_fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray, h: int) -> tuple[float, np.ndarray]:
+    """(objective, coefficients) of OLS on the given rows; RankDeficientSubset if collinear."""
+    xs = x[rows]
+    try:
+        low = cholesky_spd(xs.T @ xs)
+    except NotPositiveDefinite as err:
+        raise RankDeficientSubset(str(err)) from err
+    beta = cho_solve((low, True), xs.T @ y[rows])
+    return _objective(_squared_residuals(x, y, beta), h), beta
+
+
+def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
+    """Batched subset OLS: sums of x x' and x y give each trial's normal equations."""
+    n, k = x.shape
+    terms = np.hstack([(x[:, :, None] * x[:, None, :]).reshape(n, k * k), x * y[:, None]])
+
+    def fit(sums, count):
+        low, ok = spd_factor(sums[:, : k * k].reshape(-1, k, k))
+        linv = np.linalg.inv(low)
+        beta = (np.swapaxes(linv, 1, 2) @ (linv @ sums[:, k * k :, None]))[:, :, 0]
+        r2 = (y - beta @ x.T) ** 2
+        return (beta, r2), np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1), ok
+
+    return Model(terms=terms, fit=fit, score=lambda params: params[1],
+                 refit=lambda rows: _subset_fit(x, y, rows, h))
 
 
 def lts_objective(data: Dataset, beta: np.ndarray, h: int) -> float:
@@ -140,85 +136,42 @@ def c_step(
     never exceeds lts_objective(data, beta, h); RankDeficientSubset means
     the selected rows are collinear and the trial should be discarded.
     """
-    return _c_step(
-        data.design_matrix(), data.response_vector(), np.asarray(beta, float), h
-    )
-
-
-def _starts(n: int, k: int, h: int, config: LtsConfig):
-    """Initial row subsets: everything for small instances, else seeded draws."""
-    if h >= n:
-        return [np.arange(n)]
-    if n <= EXHAUSTIVE_MAX_N and k <= EXHAUSTIVE_MAX_K:
-        return [np.array(c) for c in itertools.combinations(range(n), k + 1)]
-    rng = np.random.default_rng(config.seed)
-    return [np.sort(rng.choice(n, size=k + 1, replace=False)) for _ in range(config.n_starts)]
+    x, y = data.design_matrix(), data.response_vector()
+    subset = lowest_rows(_squared_residuals(x, y, np.asarray(beta, float)), h)
+    objective, new_beta = _subset_fit(x, y, subset, h)
+    return new_beta, objective, subset
 
 
 def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
     """Trimmed-squares fit: randomized starts, concentration, refinement.
 
-    Every start subset gets an OLS fit and two concentration steps; the
-    n_best_kept lowest-objective trials iterate to convergence and the
-    winner is chosen by (objective, trial index), which makes the result
-    deterministic for a given seed. Trials whose selected rows turn
-    collinear are discarded; AllStartsDegenerate means none survived.
+    Every (K+1)-row start subset gets an OLS fit and two concentration
+    steps; the n_best_kept lowest-objective trials iterate to convergence
+    and the winner is chosen by (objective, trial index), which makes the
+    result deterministic for a given seed. Trials whose selected rows turn
+    collinear are discarded; AllStartsDegenerate means none survived. The
+    reported fit is recomputed from the winner's rows.
     """
     config = config or LtsConfig()
     x = data.design_matrix()
     y = data.response_vector()
     n, k = x.shape
     h = trimmed_size(n, k, config.alpha)
+    starts = np.arange(n)[None] if h >= n else draw_starts(n, k, config)
+    search = concentrate(_search_model(x, y, h), starts, h, config)
 
-    n_csteps = 0
-    survivors = []
-    for trial, start in enumerate(_starts(n, k, h, config)):
-        try:
-            beta = _subset_ols(x, y, start)
-            for _ in range(2):
-                beta, objective, _ = _c_step(x, y, beta, h)
-                n_csteps += 1
-        except RankDeficientSubset:
-            continue
-        survivors.append((objective, trial, beta))
-    if not survivors:
-        raise AllStartsDegenerate("every start subset was collinear")
-
-    survivors.sort(key=lambda item: (item[0], item[1]))
-    best: tuple[float, int, np.ndarray, bool] | None = None
-    for objective, trial, beta in survivors[: config.n_best_kept]:
-        converged = False
-        try:
-            for _ in range(config.max_csteps):
-                beta, new_objective, _ = _c_step(x, y, beta, h)
-                n_csteps += 1
-                if objective - new_objective <= CONVERGENCE_RTOL * objective:
-                    objective = new_objective
-                    converged = True
-                    break
-                objective = new_objective
-        except RankDeficientSubset:
-            continue
-        if best is None or (objective, trial) < (best[0], best[1]):
-            best = (objective, trial, beta, converged)
-    if best is None:
-        raise AllStartsDegenerate("every refined trial hit a collinear subset")
-
-    _, _, beta, converged = best
+    beta = search.estimate
     raw = y - x @ beta
-    r2 = raw * raw
-    h_subset = _h_smallest(r2, h)
-    objective = _objective(r2, h)
-    scale, standardized = standardize_residuals(objective, raw, h, n)
+    scale, standardized = standardize_residuals(search.objective, raw, h, n)
     return LtsFit(
         coefficients=beta,
-        objective=objective,
-        h_subset=h_subset,
+        objective=search.objective,
+        h_subset=lowest_rows(raw * raw, h),
         raw_residuals=raw,
         robust_scale=scale,
         standardized_residuals=standardized,
-        n_csteps_total=n_csteps,
-        converged=converged,
+        n_csteps_total=search.n_csteps,
+        converged=search.converged,
         h=h,
     )
 

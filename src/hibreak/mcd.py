@@ -10,24 +10,22 @@ so that distances of clean Gaussian data are approximately chi(p).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
+from .concentration import Model, concentrate, draw_starts, lowest_rows
 from .core_stats import (
     chi2_cdf,
     chi2_quantile,
     cholesky_spd,
-    determinant,
+    factor_determinant,
     mean_and_cov,
+    spd_factor,
 )
-from .errors import AllStartsDegenerate, ConstantColumn, NotPositiveDefinite, SingularSubset
-
-CONVERGENCE_RTOL = 1e-12
-EXHAUSTIVE_MAX_N = 16
-EXHAUSTIVE_MAX_P = 3
+from .errors import ConstantColumn, NotPositiveDefinite, SingularSubset, TooFewRows
 
 
 @dataclass(frozen=True)
@@ -82,16 +80,12 @@ def scatter_consistency_factor(h: int, n: int, p: int) -> float:
 
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances given the scatter's lower Cholesky factor."""
-    n = low.shape[0]
-    z = np.empty((n, x.shape[0]))
-    d = (x - center).T
-    for i in range(n):
-        z[i] = (d[i] - low[i, :i] @ z[:i]) / low[i, i]
+    z = solve_triangular(low, (x - center).T, lower=True)
     return np.sum(z * z, axis=0)
 
 
 def _subset_moments(x: np.ndarray, rows: np.ndarray):
-    """Mean, covariance, Cholesky factor and determinant of the given rows.
+    """(covariance determinant, (mean, covariance)) of the given rows.
 
     SingularSubset when the rows lie in a lower-dimensional affine subspace.
     """
@@ -100,11 +94,35 @@ def _subset_moments(x: np.ndarray, rows: np.ndarray):
         low = cholesky_spd(cov)
     except NotPositiveDefinite as err:
         raise SingularSubset(str(err)) from err
-    return center, cov, low, determinant(cov)
+    return float(factor_determinant(low)), (center, cov)
 
 
-def _h_closest(d2: np.ndarray, h: int) -> np.ndarray:
-    return np.sort(np.argsort(d2, kind="stable")[:h])
+def _search_model(x: np.ndarray, h: int) -> Model:
+    """Batched subset moments from sums of x and x x', and distances as quadratic forms.
+
+    Rows are taken relative to the coordinatewise median, so that a large
+    offset of the data does not cancel digits out of the raw moments.
+    """
+    n, p = x.shape
+    xc = x - np.median(x, axis=0)
+    squares = (xc[:, :, None] * xc[:, None, :]).reshape(n, p * p)
+    terms = np.hstack([xc, squares])
+
+    def fit(sums, count):
+        mean = sums[:, :p] / count
+        second = sums[:, p:].reshape(-1, p, p) / count
+        cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
+        low, ok = spd_factor(cov)
+        linv = np.linalg.inv(low)
+        return (mean, np.swapaxes(linv, 1, 2) @ linv), factor_determinant(low), ok
+
+    def score(params):
+        mean, precision = params
+        pm = (precision @ mean[:, :, None])[:, :, 0]
+        quadratic = precision.reshape(len(mean), p * p) @ squares.T
+        return quadratic - 2.0 * (pm @ xc.T) + np.sum(mean * pm, axis=1)[:, None]
+
+    return Model(terms=terms, fit=fit, score=score, refit=lambda rows: _subset_moments(x, rows))
 
 
 def mcd_c_step(
@@ -124,8 +142,8 @@ def mcd_c_step(
         low = cholesky_spd(np.asarray(scatter, dtype=float))
     except NotPositiveDefinite as err:
         raise SingularSubset(f"input scatter not positive definite: {err}") from err
-    subset = _h_closest(_mahalanobis_sq(x, np.asarray(center, float), low), h)
-    new_center, new_cov, _, det = _subset_moments(x, subset)
+    subset = lowest_rows(_mahalanobis_sq(x, np.asarray(center, float), low), h)
+    det, (new_center, new_cov) = _subset_moments(x, subset)
     return new_center, new_cov, subset, det
 
 
@@ -135,18 +153,11 @@ def _validate(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected an n x p matrix, got shape {x.shape}")
     n, p = x.shape
     if n < 2 * (p + 1):
-        raise ValueError(f"need at least 2(p+1)={2 * (p + 1)} rows, got {n}")
+        raise TooFewRows(f"need at least 2(p+1)={2 * (p + 1)} rows, got {n}")
     for j in range(p):
         if np.ptp(x[:, j]) == 0.0:
             raise ConstantColumn(f"column {j} is constant")
     return x
-
-
-def _starts(n: int, p: int, config: McdConfig):
-    if n <= EXHAUSTIVE_MAX_N and p <= EXHAUSTIVE_MAX_P:
-        return [np.array(c) for c in itertools.combinations(range(n), p + 1)]
-    rng = np.random.default_rng(config.seed)
-    return [np.sort(rng.choice(n, size=p + 1, replace=False)) for _ in range(config.n_starts)]
 
 
 def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
@@ -155,54 +166,27 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
     Starts are (p+1)-row subsets (all of them on small instances, seeded
     draws otherwise); each surviving start gets two concentration steps,
     the n_best_kept lowest-determinant trials iterate to convergence, and
-    the winner is chosen by (determinant, trial index). The scatter is
-    multiplied by the consistency factor before distances are computed.
+    the winner is chosen by (determinant, trial index). The estimate is
+    recomputed from the winner's rows, and the scatter is multiplied by
+    the consistency factor before distances are computed.
     """
     config = config or McdConfig()
     x = _validate(x)
     n, p = x.shape
     h = subset_size(n, config.h_fraction)
     if h < p + 1:
-        raise ValueError(f"h={h} from h_fraction={config.h_fraction} is below p+1={p + 1}")
+        raise TooFewRows(f"h={h} from h_fraction={config.h_fraction} is below p+1={p + 1}")
+    search = concentrate(_search_model(x, h), draw_starts(n, p, config), h, config)
 
-    survivors = []
-    for trial, start in enumerate(_starts(n, p, config)):
-        try:
-            center, cov, _, det = _subset_moments(x, start)
-            for _ in range(2):
-                center, cov, subset, det = mcd_c_step(x, center, cov, h)
-        except SingularSubset:
-            continue
-        survivors.append((det, trial, center, cov, subset))
-    if not survivors:
-        raise AllStartsDegenerate("every start subset was degenerate")
-
-    survivors.sort(key=lambda item: (item[0], item[1]))
-    best = None
-    for det, trial, center, cov, subset in survivors[: config.n_best_kept]:
-        try:
-            for _ in range(config.max_csteps):
-                center, cov, subset, new_det = mcd_c_step(x, center, cov, h)
-                if det - new_det <= CONVERGENCE_RTOL * det:
-                    det = new_det
-                    break
-                det = new_det
-        except SingularSubset:
-            continue
-        if best is None or (det, trial) < (best[0], best[1]):
-            best = (det, trial, center, cov, subset)
-    if best is None:
-        raise AllStartsDegenerate("every refined trial collapsed onto a degenerate subset")
-
-    det, _, center, cov, subset = best
+    center, cov = search.estimate
     factor = scatter_consistency_factor(h, n, p)
     scatter = cov * factor
     distances = np.sqrt(_mahalanobis_sq(x, center, cholesky_spd(scatter)))
     return McdEstimate(
         center=center,
         scatter=scatter,
-        best_subset=subset,
-        raw_determinant=det,
+        best_subset=search.rows,
+        raw_determinant=search.objective,
         robust_distances=distances,
         consistency_factor=factor,
         h=h,
@@ -211,6 +195,5 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
 
 def robust_distances(x: np.ndarray, estimate: McdEstimate) -> np.ndarray:
     """Mahalanobis distances of each row under the corrected estimate."""
-    x = np.asarray(x, dtype=float)
     low = cholesky_spd(estimate.scatter)
-    return np.sqrt(_mahalanobis_sq(x, estimate.center, low))
+    return np.sqrt(_mahalanobis_sq(np.asarray(x, dtype=float), estimate.center, low))

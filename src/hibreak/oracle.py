@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from .core_stats import cholesky_solve, cholesky_spd, determinant, mean_and_cov
+from .core_stats import cholesky_spd, factor_determinant, mean_and_cov
 from .errors import AllSubsetsDegenerate, NotPositiveDefinite, TooLarge
 from .ols import Dataset
 
@@ -34,9 +35,34 @@ class OracleResult:
     n_subsets_evaluated: int
 
 
-def _check_budget(n: int, h: int):
+def _enumerate(n: int, h: int, evaluate, degenerate: str) -> OracleResult:
+    """Lowest objective over every h-subset in lexicographic order; the first minimum wins.
+
+    evaluate(rows) returns (objective, fit) or raises NotPositiveDefinite
+    for a degenerate subset, which is skipped.
+    """
     if math.comb(n, h) > MAX_SUBSETS:
         raise TooLarge(f"C({n}, {h}) = {math.comb(n, h)} exceeds {MAX_SUBSETS} subsets")
+    best = None
+    evaluated = 0
+    for combo in itertools.combinations(range(n), h):
+        rows = np.array(combo)
+        try:
+            objective, fit = evaluate(rows)
+        except NotPositiveDefinite:
+            continue
+        evaluated += 1
+        if best is None or objective < best[0]:
+            best = (objective, rows, fit)
+    if best is None:
+        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
+    objective, rows, fit = best
+    return OracleResult(
+        best_subset=rows,
+        best_objective=objective,
+        coefficients_or_moments=fit,
+        n_subsets_evaluated=evaluated,
+    )
 
 
 def exact_lts(data: Dataset, h: int) -> OracleResult:
@@ -51,33 +77,16 @@ def exact_lts(data: Dataset, h: int) -> OracleResult:
     n, k = x.shape
     if h < k + 1:
         raise ValueError(f"h={h} is below k+1={k + 1}")
-    _check_budget(n, h)
 
-    best = None
-    evaluated = 0
-    for combo in itertools.combinations(range(n), h):
-        rows = np.array(combo)
+    def evaluate(rows):
         xs = x[rows]
-        try:
-            low = cholesky_spd(xs.T @ xs)
-        except NotPositiveDefinite:
-            continue
-        beta = cholesky_solve(low, xs.T @ y[rows])
+        low = cholesky_spd(xs.T @ xs)
+        beta = cho_solve((low, True), xs.T @ y[rows])
         r = y - x @ beta
         r2 = r * r
-        objective = float(r2[np.argsort(r2, kind="stable")[:h]].sum())
-        evaluated += 1
-        if best is None or objective < best[0]:
-            best = (objective, rows, beta)
-    if best is None:
-        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were rank deficient")
-    objective, rows, beta = best
-    return OracleResult(
-        best_subset=rows,
-        best_objective=objective,
-        coefficients_or_moments=beta,
-        n_subsets_evaluated=evaluated,
-    )
+        return float(r2[np.argsort(r2, kind="stable")[:h]].sum()), beta
+
+    return _enumerate(n, h, evaluate, "rank deficient")
 
 
 def exact_mcd(x: np.ndarray, h: int) -> OracleResult:
@@ -91,27 +100,9 @@ def exact_mcd(x: np.ndarray, h: int) -> OracleResult:
     n, p = x.shape
     if h < p + 1:
         raise ValueError(f"h={h} is below p+1={p + 1}")
-    _check_budget(n, h)
 
-    best = None
-    evaluated = 0
-    for combo in itertools.combinations(range(n), h):
-        rows = np.array(combo)
+    def evaluate(rows):
         center, cov = mean_and_cov(x[rows])
-        try:
-            cholesky_spd(cov)
-        except NotPositiveDefinite:
-            continue
-        det = determinant(cov)
-        evaluated += 1
-        if best is None or det < best[0]:
-            best = (det, rows, center, cov)
-    if best is None:
-        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were degenerate")
-    det, rows, center, cov = best
-    return OracleResult(
-        best_subset=rows,
-        best_objective=det,
-        coefficients_or_moments=(center, cov),
-        n_subsets_evaluated=evaluated,
-    )
+        return float(factor_determinant(cholesky_spd(cov))), (center, cov)
+
+    return _enumerate(n, h, evaluate, "degenerate")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +90,7 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
             raise ParseError(0, "", "file has no header row")
         columns = tuple(name.strip() for name in header[1:])
         labels: list[str] = []
+        seen: set[str] = set()
         rows: list[list[float]] = []
         for i, raw in enumerate(reader, start=1):
             if not raw:
@@ -97,8 +98,9 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
             if len(raw) != len(header):
                 raise ParseError(i, "", f"row {i} has {len(raw)} cells, expected {len(header)}")
             label = raw[0].strip()
-            if label in labels:
+            if label in seen:
                 raise DuplicateLabel(label)
+            seen.add(label)
             parsed = []
             for name, cell in zip(columns, raw[1:]):
                 try:
@@ -134,27 +136,17 @@ def _config_echo(data: Dataset, config: AnalysisConfig) -> dict:
             "has_intercept": config.model.has_intercept,
         },
         "lts": {
-            "alpha": config.lts.alpha,
-            "n_starts": config.lts.n_starts,
-            "n_best_kept": config.lts.n_best_kept,
-            "seed": config.lts.seed,
-            "max_csteps": config.lts.max_csteps,
+            **asdict(config.lts),
             "h": h_lts,
             "consistency_factor": lts_mod.consistency_factor(h_lts, n),
         },
         "mcd": {
-            "h_fraction": config.mcd.h_fraction,
-            "n_starts": config.mcd.n_starts,
-            "n_best_kept": config.mcd.n_best_kept,
-            "seed": config.mcd.seed,
-            "max_csteps": config.mcd.max_csteps,
+            **asdict(config.mcd),
             "h": h_mcd,
             "consistency_factor": mcd_mod.scatter_consistency_factor(h_mcd, n, p),
         },
         "thresholds": {
-            "residual_cutoff": config.thresholds.residual_cutoff,
-            "distance_quantile": config.thresholds.distance_quantile,
-            "severe_residual_cutoff": config.thresholds.severe_residual_cutoff,
+            **asdict(config.thresholds),
             "distance_cutoff": distance_cutoff(config.thresholds, p),
         },
         "output_format": config.output_format,
@@ -162,34 +154,19 @@ def _config_echo(data: Dataset, config: AnalysisConfig) -> dict:
 
 
 def _fit_summary(fit: RegressionFit) -> dict:
-    return {
-        "r_squared": fit.r_squared,
-        "f_value": fit.f_value,
-        "sigma": fit.sigma,
-        "n_used": fit.n_used,
-    }
+    return {key: getattr(fit, key) for key in ("r_squared", "f_value", "sigma", "n_used")}
+
+
+def _coefficient(fit: RegressionFit, j: int) -> dict:
+    columns = (fit.coefficients, fit.standard_errors, fit.t_values, fit.p_values)
+    return {key: float(column[j]) for key, column in zip(("coeff", "se", "t", "p"), columns)}
 
 
 def _comparison(ols: RegressionFit, robust: RegressionFit) -> dict:
-    rows = []
-    for j, name in enumerate(ols.coefficient_names):
-        rows.append(
-            {
-                "name": name,
-                "ols": {
-                    "coeff": float(ols.coefficients[j]),
-                    "se": float(ols.standard_errors[j]),
-                    "t": float(ols.t_values[j]),
-                    "p": float(ols.p_values[j]),
-                },
-                "robust": {
-                    "coeff": float(robust.coefficients[j]),
-                    "se": float(robust.standard_errors[j]),
-                    "t": float(robust.t_values[j]),
-                    "p": float(robust.p_values[j]),
-                },
-            }
-        )
+    rows = [
+        {"name": name, "ols": _coefficient(ols, j), "robust": _coefficient(robust, j)}
+        for j, name in enumerate(ols.coefficient_names)
+    ]
     return {"rows": rows, "ols": _fit_summary(ols), "robust": _fit_summary(robust)}
 
 
@@ -243,42 +220,28 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
 # Serialization and rendering
 # ---------------------------------------------------------------------------
 
+# RegressionFit fields that hold arrays; its other sequence fields are tuples.
+_ARRAY_FIELDS = ("coefficients", "standard_errors", "t_values", "p_values", "residuals")
+
+
 def _fit_to_dict(fit: RegressionFit) -> dict:
-    return {
-        "coefficient_names": list(fit.coefficient_names),
-        "coefficients": [float(v) for v in fit.coefficients],
-        "standard_errors": [float(v) for v in fit.standard_errors],
-        "t_values": [float(v) for v in fit.t_values],
-        "p_values": [float(v) for v in fit.p_values],
-        "residuals": [float(v) for v in fit.residuals],
-        "sigma": fit.sigma,
-        "r_squared": fit.r_squared,
-        "f_value": fit.f_value,
-        "n_used": fit.n_used,
-        "dropped_labels": list(fit.dropped_labels),
-        "predictors": list(fit.predictors),
-        "has_intercept": fit.has_intercept,
-        "df_resid": fit.df_resid,
-    }
+    d = {f.name: getattr(fit, f.name) for f in fields(fit)}
+    for name, value in d.items():
+        if name in _ARRAY_FIELDS:
+            d[name] = [float(v) for v in value]
+        elif isinstance(value, tuple):
+            d[name] = list(value)
+    return d
 
 
 def _fit_from_dict(d: dict) -> RegressionFit:
-    return RegressionFit(
-        coefficient_names=tuple(d["coefficient_names"]),
-        coefficients=np.array(d["coefficients"], dtype=float),
-        standard_errors=np.array(d["standard_errors"], dtype=float),
-        t_values=np.array(d["t_values"], dtype=float),
-        p_values=np.array(d["p_values"], dtype=float),
-        residuals=np.array(d["residuals"], dtype=float),
-        sigma=d["sigma"],
-        r_squared=d["r_squared"],
-        f_value=d["f_value"],
-        n_used=d["n_used"],
-        dropped_labels=tuple(d["dropped_labels"]),
-        predictors=tuple(d["predictors"]),
-        has_intercept=d["has_intercept"],
-        df_resid=d["df_resid"],
-    )
+    d = dict(d)
+    for name, value in d.items():
+        if name in _ARRAY_FIELDS:
+            d[name] = np.array(value, dtype=float)
+        elif isinstance(value, list):
+            d[name] = tuple(value)
+    return RegressionFit(**d)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -334,34 +297,32 @@ def _sig(value, signed=False) -> str:
     return f"{value:+.4g}" if signed else f"{value:.4g}"
 
 
+def _coefficient_cells(row: dict) -> list[str]:
+    """Var. name, then coefficient, S.E., t and p for OLS and for the robust refit."""
+    cells = [row["name"]]
+    for panel in (row["ols"], row["robust"]):
+        cells += [_sig(panel["coeff"], signed=True), _sig(panel["se"]),
+                  _sig(panel["t"], signed=True), _sig(panel["p"])]
+    return cells
+
+
 def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
     echo = report.config_echo
     model = echo["model"]
     terms = (["const"] if model["has_intercept"] else []) + list(model["predictors"])
-    out = ["# Robust regression report", ""]
-    out.append(
-        f"Model: {model['response']} ~ {' + '.join(terms)}"
-        f" (n = {report.ols_fit.n_used})"
-    )
-    out.append("")
-    out.append("## Coefficient comparison")
-    out.append("")
-    out.append(
+    out = [
+        "# Robust regression report",
+        "",
+        f"Model: {model['response']} ~ {' + '.join(terms)} (n = {report.ols_fit.n_used})",
+        "",
+        "## Coefficient comparison",
+        "",
         "| Var. | OLS Coeff. | S.E. | t-value | P-value "
-        "| ROBUST Coeff. | S.E. | t-value | P-value |"
-    )
-    out.append("|---|---|---|---|---|---|---|---|---|")
-    for row in report.comparison["rows"]:
-        o, r = row["ols"], row["robust"]
-        out.append(
-            f"| {row['name']} | {_sig(o['coeff'], signed=True)} | {_sig(o['se'])} "
-            f"| {_sig(o['t'], signed=True)} | {_sig(o['p'])} "
-            f"| {_sig(r['coeff'], signed=True)} | {_sig(r['se'])} "
-            f"| {_sig(r['t'], signed=True)} | {_sig(r['p'])} |"
-        )
-    out.append("")
-    out.append("| | OLS | ROBUST |")
-    out.append("|---|---|---|")
+        "| ROBUST Coeff. | S.E. | t-value | P-value |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+    out += ["| " + " | ".join(_coefficient_cells(row)) + " |" for row in report.comparison["rows"]]
+    out += ["", "| | OLS | ROBUST |", "|---|---|---|"]
     for key, title in (
         ("r_squared", "R^2"),
         ("f_value", "F-value"),
@@ -372,43 +333,35 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
             f"| {title} | {_sig(report.comparison['ols'][key])} "
             f"| {_sig(report.comparison['robust'][key])} |"
         )
-    out.append("")
-    out.append("## Diagnostics")
-    out.append("")
-    out.append("| Row | Std. residual | Robust distance | Class | Drop |")
-    out.append("|---|---|---|---|---|")
+    out += [
+        "",
+        "## Diagnostics",
+        "",
+        "| Row | Std. residual | Robust distance | Class | Drop |",
+        "|---|---|---|---|---|",
+    ]
     for rec in report.diagnostics:
         out.append(
             f"| {rec.row_label} | {_sig(rec.standardized_residual, signed=True)} "
             f"| {_sig(rec.robust_distance)} | {rec.classification.value} "
             f"| {'yes' if rec.drop_recommended else 'no'} |"
         )
-    out.append("")
-    out.append("## Dropped observations")
-    out.append("")
+    out += ["", "## Dropped observations", ""]
     if report.dropped:
-        out.append("| Row | Reason |")
-        out.append("|---|---|")
-        for row in report.dropped:
-            out.append(f"| {row.label} | {row.reason} |")
+        out += ["| Row | Reason |", "|---|---|"]
+        out += [f"| {row.label} | {row.reason} |" for row in report.dropped]
     else:
         out.append("none")
-    out.append("")
-    out.append("## Configuration")
-    out.append("")
-    lts_echo, mcd_echo, thr = echo["lts"], echo["mcd"], echo["thresholds"]
-    out.append(
-        f"- lts: alpha={lts_echo['alpha']}, h={lts_echo['h']}, "
-        f"n_starts={lts_echo['n_starts']}, n_best_kept={lts_echo['n_best_kept']}, "
-        f"seed={lts_echo['seed']}, max_csteps={lts_echo['max_csteps']}, "
-        f"consistency_factor={_sig(lts_echo['consistency_factor'])}"
-    )
-    out.append(
-        f"- mcd: h_fraction={mcd_echo['h_fraction']}, h={mcd_echo['h']}, "
-        f"n_starts={mcd_echo['n_starts']}, n_best_kept={mcd_echo['n_best_kept']}, "
-        f"seed={mcd_echo['seed']}, max_csteps={mcd_echo['max_csteps']}, "
-        f"consistency_factor={_sig(mcd_echo['consistency_factor'])}"
-    )
+    out += ["", "## Configuration", ""]
+    for name, size in (("lts", "alpha"), ("mcd", "h_fraction")):
+        e = echo[name]
+        out.append(
+            f"- {name}: {size}={e[size]}, h={e['h']}, "
+            f"n_starts={e['n_starts']}, n_best_kept={e['n_best_kept']}, "
+            f"seed={e['seed']}, max_csteps={e['max_csteps']}, "
+            f"consistency_factor={_sig(e['consistency_factor'])}"
+        )
+    thr = echo["thresholds"]
     out.append(
         f"- thresholds: residual_cutoff={thr['residual_cutoff']}, "
         f"severe_residual_cutoff={thr['severe_residual_cutoff']}, "
@@ -416,14 +369,12 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
         f"distance_cutoff={_sig(thr['distance_cutoff'])}"
     )
     if oracle is not None:
-        out.append("")
-        out.append("## Oracle check")
-        out.append("")
-        for name, block in sorted(oracle.items()):
-            out.append(
-                f"- {name}: heuristic={block['heuristic_objective']!r}, "
-                f"exact={block['exact_objective']!r}, match={block['match']}"
-            )
+        out += ["", "## Oracle check", ""]
+        out += [
+            f"- {name}: heuristic={block['heuristic_objective']!r}, "
+            f"exact={block['exact_objective']!r}, match={block['match']}"
+            for name, block in sorted(oracle.items())
+        ]
     out.append("")
     return "\n".join(out)
 
@@ -433,15 +384,7 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
         ["var", "ols_coeff", "ols_se", "ols_t", "ols_p",
          "robust_coeff", "robust_se", "robust_t", "robust_p"]
     ]
-    for row in report.comparison["rows"]:
-        o, r = row["ols"], row["robust"]
-        rows.append(
-            [row["name"],
-             _sig(o["coeff"], signed=True), _sig(o["se"]),
-             _sig(o["t"], signed=True), _sig(o["p"]),
-             _sig(r["coeff"], signed=True), _sig(r["se"]),
-             _sig(r["t"], signed=True), _sig(r["p"])]
-        )
+    rows += [_coefficient_cells(row) for row in report.comparison["rows"]]
     for key in ("r_squared", "f_value", "sigma", "n_used"):
         rows.append(
             [key, _sig(report.comparison["ols"][key]), "-", "-", "-",

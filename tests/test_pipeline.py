@@ -92,6 +92,17 @@ class TestLoadCsv:
         with pytest.raises(DuplicateLabel):
             load_csv(path, MODEL_XY)
 
+    def test_first_repeated_label_in_file_order(self, tmp_path):
+        # "b" repeats before "a" does, and the bad cell after both is never reached
+        path = write_csv(
+            tmp_path / "dup.csv",
+            "c,y,x1\na,1.0,2.0\nb,2.0,3.0\nb,3.0,4.0\na,4.0,5.0\nc,oops,6.0\n",
+        )
+        with pytest.raises(DuplicateLabel) as err:
+            load_csv(path, MODEL_XY)
+        assert err.value.label == "b"
+        assert main(["analyze", path, "--response", "y", "--predictors", "x1"]) == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(str(tmp_path / "nope.csv"), MODEL_XY)
@@ -329,6 +340,19 @@ class TestCli:
         )
         code = main(["analyze", path, "--response", "y", "--predictors", "x1,x2"])
         assert code == 3
+
+    def test_too_few_rows_for_mcd_exit_3(self, tmp_path, capsys):
+        # 5 rows fit OLS and LTS with 2 predictors, but MCD needs 2(p+1) = 6
+        path = write_csv(
+            tmp_path / "short.csv",
+            "c,y,x1,x2\na,1.0,0.5,2.0\nb,2.0,1.5,1.0\nc,2.5,2.0,3.5\n"
+            "d,4.0,3.5,0.5\ne,5.5,4.0,2.5\n",
+        )
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1,x2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "mcd" in err
+        assert "Traceback" not in err
 
     def test_bad_flag_exit_4(self, tmp_path, capsys):
         path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
