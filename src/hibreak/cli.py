@@ -15,10 +15,13 @@ from .errors import (
     HibreakError,
     MissingColumn,
     ParseError,
+    TooFewRows,
     TooLarge,
 )
-from .lts import LtsConfig, fit_lts, trimmed_size
-from .mcd import McdConfig, fit_mcd, subset_size
+# The CLI no longer calls fit_lts or fit_mcd itself; both names stay in this
+# module's namespace because perfbench/tracing.py wraps them here.
+from .lts import LtsConfig, fit_lts, trimmed_size  # noqa: F401
+from .mcd import McdConfig, fit_mcd, subset_size  # noqa: F401
 from .oracle import exact_lts, exact_mcd
 from .pipeline import AnalysisConfig, ModelSpec, load_csv, render_report, run_analysis
 
@@ -61,11 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_section(data, config) -> dict:
+def _oracle_section(data, config, report) -> dict:
+    """The report's own LTS and MCD objectives against exhaustive enumeration."""
     h_lts = trimmed_size(data.n, data.k, config.lts.alpha)
     h_mcd = subset_size(data.n, config.mcd.h_fraction)
-    lts_fit = fit_lts(data, config.lts)
-    mcd_est = fit_mcd(data.predictor_matrix(), config.mcd)
     lts_exact = exact_lts(data, h_lts)
     mcd_exact = exact_mcd(data.predictor_matrix(), h_mcd)
 
@@ -78,8 +80,8 @@ def _oracle_section(data, config) -> dict:
         }
 
     return {
-        "lts": block(lts_fit.objective, lts_exact.best_objective),
-        "mcd": block(mcd_est.raw_determinant, mcd_exact.best_objective),
+        "lts": block(report.lts_fit.objective, lts_exact.best_objective),
+        "mcd": block(report.mcd_estimate.raw_determinant, mcd_exact.best_objective),
     }
 
 
@@ -107,13 +109,13 @@ def _run_analyze(args) -> int:
 
     try:
         data = load_csv(args.csv, model)
-    except (FileNotFoundError, ParseError, MissingColumn, DuplicateLabel) as err:
+    except (FileNotFoundError, ParseError, MissingColumn, DuplicateLabel, TooFewRows) as err:
         print(f"hibreak: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
         report = run_analysis(data, config)
-        oracle = _oracle_section(data, config) if args.oracle else None
+        oracle = _oracle_section(data, config, report) if args.oracle else None
     except TooLarge as err:
         print(f"hibreak: input too large for --oracle: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -7,12 +7,17 @@ refits on the h rows that score lowest under the current fit, which never
 increases the objective. Here a block of trials runs as stacked arrays:
 (T, n) scores, their (T, n) 0/1 mask of the h lowest, and fits from the
 mask times per-row terms (one matmul). A degenerate trial is dropped alone.
+
+Above NESTED_MIN_N rows the starts run on disjoint random subsamples, the
+best trials of each meet again on the union of the subsamples, and only
+the best of those are refined on all rows (the nested extension of both
+papers), so the cost of the start phase does not grow with n.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -28,6 +33,13 @@ CONVERGENCE_RTOL = 1e-12
 # the coefficient count for LTS and the predictor count for MCD.
 EXHAUSTIVE_MAX_N = 16
 EXHAUSTIVE_MAX_DIM = 3
+
+# Searches on more than NESTED_MIN_N rows draw their starts inside
+# min(MAX_SUBSAMPLES, n // SUBSAMPLE_ROWS) disjoint subsamples of
+# SUBSAMPLE_ROWS rows each.
+NESTED_MIN_N = 600
+SUBSAMPLE_ROWS = 300
+MAX_SUBSAMPLES = 5
 
 # Memory budget of a block of T trials: entries of one of its (T, n) score
 # arrays or (T, c) sums of the n x c per-row terms.
@@ -77,14 +89,15 @@ def lowest_rows(scores: np.ndarray, h: int) -> np.ndarray:
     return np.flatnonzero(lowest_mask(scores[None], h)[0])
 
 
+def _draw(rng: np.random.Generator, n: int, dim: int, count: int) -> np.ndarray:
+    return np.array([np.sort(rng.choice(n, size=dim + 1, replace=False)) for _ in range(count)])
+
+
 def draw_starts(n: int, dim: int, config) -> np.ndarray:
     """(T, dim+1) start rows: every subset on small instances, else seeded draws."""
     if n <= EXHAUSTIVE_MAX_N and dim <= EXHAUSTIVE_MAX_DIM:
         return np.array(list(itertools.combinations(range(n), dim + 1)))
-    rng = np.random.default_rng(config.seed)
-    return np.array(
-        [np.sort(rng.choice(n, size=dim + 1, replace=False)) for _ in range(config.n_starts)]
-    )
+    return _draw(np.random.default_rng(config.seed), n, dim, config.n_starts)
 
 
 def _take(params: tuple, index) -> tuple:
@@ -96,19 +109,21 @@ def _c_step(model: Model, params: tuple, h: int):
     return (*model.fit(mask @ model.terms, h), mask)
 
 
-def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
-    """Two C-steps from each start, then refine the config.n_best_kept best.
+def _block(model: Model) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
 
-    Trials rank by (objective, trial index); a refined trial stops when it
-    converges or after config.max_csteps. The winner is the refined trial
-    with the lowest (refit objective, trial index). n_csteps counts the
-    C-steps trials completed without turning degenerate.
+
+def _screen(model: Model, starts: np.ndarray, h: int, n_keep: int) -> tuple[tuple, int]:
+    """Fit each start from its rows, take two C-steps, keep the n_keep best.
+
+    Returns (objectives, trials, *params) of the kept trials, ranked by
+    (objective, trial index), and the C-steps trials completed without
+    turning degenerate.
     """
     n = model.terms.shape[0]
-    block = max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
+    block = _block(model)
     n_csteps = 0
-
-    kept = None  # (objectives, trials, *params) of the best n_best_kept so far
+    kept = None  # (objectives, trials, *params) of the best n_keep so far
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
         mask = np.zeros((len(trial), n))
@@ -122,7 +137,23 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
         merged = (objective, trial, *params)
         if kept is not None:
             merged = tuple(map(np.concatenate, zip(kept, merged)))
-        kept = _take(merged, np.lexsort((merged[1], merged[0]))[: config.n_best_kept])
+        kept = _take(merged, np.lexsort((merged[1], merged[0]))[:n_keep])
+    if kept is None:
+        raise AllStartsDegenerate("every trial of the previous phase turned degenerate")
+    return kept, n_csteps
+
+
+def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
+    """Two C-steps from each start, then refine the config.n_best_kept best.
+
+    A start is any set of rows, given as a row of starts. Trials rank by
+    (objective, trial index); a refined trial stops when it converges or
+    after config.max_csteps. The winner is the refined trial with the
+    lowest (refit objective, trial index). n_csteps counts the C-steps
+    trials completed without turning degenerate.
+    """
+    kept, n_csteps = _screen(model, starts, h, config.n_best_kept)
+    block = _block(model)
 
     finished = []  # (trial, converged, mask) of each refined trial
     for first in range(0, len(kept[1]), block):
@@ -150,3 +181,38 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
     if best is None:
         raise AllStartsDegenerate("every start or refined trial turned degenerate")
     return best
+
+
+def run_search(
+    make_model: Callable[[np.ndarray, int], Model], n: int, dim: int, h: int, config
+) -> Search:
+    """The seeded search for the best h of n rows from (dim+1)-row starts.
+
+    make_model(rows, h_rows) models the data indexed by rows (an index
+    array, or a full slice that keeps the data as it is) with h_rows-row
+    subsets. Above NESTED_MIN_N rows, each of k subsamples screens
+    n_starts // k starts, their union screens the n_best_kept best of each
+    as row subsets, and concentrate refines the best of those on every row.
+    A phase on m rows uses subsets of ceil(m h / n) rows; n_csteps counts
+    the C-steps of all phases.
+    """
+    if n <= NESTED_MIN_N:
+        return concentrate(make_model(slice(None), h), draw_starts(n, dim, config), h, config)
+    rng = np.random.default_rng(config.seed)
+    k = min(MAX_SUBSAMPLES, n // SUBSAMPLE_ROWS, config.n_starts)
+    parts = np.sort(rng.permutation(n)[: k * SUBSAMPLE_ROWS].reshape(k, SUBSAMPLE_ROWS), axis=1)
+    union = np.sort(parts, axis=None)
+
+    def screen(rows, starts):
+        """The rows each kept trial's fit selects, as rows of the data, and the C-steps."""
+        h_rows = -(-len(rows) * h // n)
+        model = make_model(rows, h_rows)
+        kept, n_csteps = _screen(model, starts, h_rows, config.n_best_kept)
+        mask = lowest_mask(model.score(kept[2:]), h_rows)
+        return rows[np.nonzero(mask)[1].reshape(-1, h_rows)], n_csteps
+
+    found = [screen(part, _draw(rng, SUBSAMPLE_ROWS, dim, config.n_starts // k)) for part in parts]
+    candidates = np.vstack([rows for rows, _ in found])
+    starts, n_csteps = screen(union, np.searchsorted(union, candidates))
+    search = concentrate(make_model(slice(None), h), starts, h, config)
+    return replace(search, n_csteps=search.n_csteps + n_csteps + sum(c for _, c in found))

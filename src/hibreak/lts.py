@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .concentration import Model, concentrate, draw_starts, lowest_rows
+from .concentration import Model, concentrate, lowest_rows, run_search
 from .core_stats import cholesky_spd, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite, RankDeficientSubset
 from .ols import Dataset
@@ -148,17 +148,21 @@ def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
     Every (K+1)-row start subset gets an OLS fit and two concentration
     steps; the n_best_kept lowest-objective trials iterate to convergence
     and the winner is chosen by (objective, trial index), which makes the
-    result deterministic for a given seed. Trials whose selected rows turn
-    collinear are discarded; AllStartsDegenerate means none survived. The
-    reported fit is recomputed from the winner's rows.
+    result deterministic for a given seed. Above 600 rows the starts run
+    on subsamples first (concentration.run_search). Trials whose selected
+    rows turn collinear are discarded; AllStartsDegenerate means none
+    survived. The reported fit is recomputed from the winner's rows.
     """
     config = config or LtsConfig()
     x = data.design_matrix()
     y = data.response_vector()
     n, k = x.shape
     h = trimmed_size(n, k, config.alpha)
-    starts = np.arange(n)[None] if h >= n else draw_starts(n, k, config)
-    search = concentrate(_search_model(x, y, h), starts, h, config)
+    if h >= n:  # nothing to trim: the one start is every row
+        search = concentrate(_search_model(x, y, h), np.arange(n)[None], h, config)
+    else:
+        search = run_search(lambda rows, h_rows: _search_model(x[rows], y[rows], h_rows),
+                            n, k, h, config)
 
     beta = search.estimate
     raw = y - x @ beta

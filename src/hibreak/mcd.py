@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .concentration import Model, concentrate, draw_starts, lowest_rows
+from .concentration import Model, lowest_rows, run_search
 from .core_stats import (
     chi2_cdf,
     chi2_quantile,
@@ -166,9 +166,10 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
     Starts are (p+1)-row subsets (all of them on small instances, seeded
     draws otherwise); each surviving start gets two concentration steps,
     the n_best_kept lowest-determinant trials iterate to convergence, and
-    the winner is chosen by (determinant, trial index). The estimate is
-    recomputed from the winner's rows, and the scatter is multiplied by
-    the consistency factor before distances are computed.
+    the winner is chosen by (determinant, trial index); above 600 rows the
+    starts run on subsamples first (concentration.run_search). The
+    estimate is recomputed from the winner's rows, and the scatter is
+    multiplied by the consistency factor before distances are computed.
     """
     config = config or McdConfig()
     x = _validate(x)
@@ -176,7 +177,7 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
     h = subset_size(n, config.h_fraction)
     if h < p + 1:
         raise TooFewRows(f"h={h} from h_fraction={config.h_fraction} is below p+1={p + 1}")
-    search = concentrate(_search_model(x, h), draw_starts(n, p, config), h, config)
+    search = run_search(lambda rows, h_rows: _search_model(x[rows], h_rows), n, p, h, config)
 
     center, cov = search.estimate
     factor = scatter_consistency_factor(h, n, p)

@@ -31,8 +31,8 @@ from .errors import (
     ParseError,
     PipelineStageError,
 )
-from .lts import LtsConfig, fit_lts
-from .mcd import McdConfig, fit_mcd
+from .lts import LtsConfig, LtsFit, fit_lts
+from .mcd import McdConfig, McdEstimate, fit_mcd
 from .ols import Dataset, RegressionFit, fit_ols
 
 
@@ -46,6 +46,8 @@ class ModelSpec:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.predictors:
             raise ValueError("model needs at least one predictor column")
+        if self.response in self.predictors:
+            raise ValueError(f"response {self.response!r} is also a predictor")
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,17 @@ class DroppedRow:
 
 @dataclass(eq=False)
 class AnalysisReport:
+    """The analysis as rendered; lts_fit and mcd_estimate are the searches
+    behind it, kept for checks such as --oracle and not serialized."""
+
     ols_fit: RegressionFit
     diagnostics: list[DiagnosticRecord]
     dropped: list[DroppedRow]
     robust_fit: RegressionFit
     config_echo: dict
     comparison: dict
+    lts_fit: LtsFit | None = field(default=None, repr=False)
+    mcd_estimate: McdEstimate | None = field(default=None, repr=False)
 
 
 def load_csv(path: str, model: ModelSpec) -> Dataset:
@@ -120,7 +127,7 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
         column_names=columns,
         response=model.response,
         predictors=model.predictors,
-        values=np.array(rows, dtype=float),
+        values=np.array(rows, dtype=float).reshape(len(rows), len(columns)),
         has_intercept=model.has_intercept,
     )
 
@@ -213,6 +220,8 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
         robust_fit=robust_fit,
         config_echo=_config_echo(data, config),
         comparison=_comparison(ols_fit, robust_fit),
+        lts_fit=lts_fit,
+        mcd_estimate=mcd_est,
     )
 
 

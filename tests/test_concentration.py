@@ -1,11 +1,13 @@
 """The batched concentration engine shared by fit_lts and fit_mcd."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hibreak import LtsConfig, McdConfig, c_step, fit_lts, fit_mcd, lts_objective, mcd_c_step
 from hibreak import concentration, lts, mcd
-from hibreak.core_stats import mean_and_cov, spd_factor
+from hibreak.core_stats import chi2_quantile, mean_and_cov, spd_factor
 from hibreak.errors import RankDeficientSubset, SingularSubset
 
 from conftest import make_dataset, random_points, random_regression
@@ -162,3 +164,88 @@ class TestPublicStepsAgreeWithDriver:
             np.testing.assert_allclose(det[0], public_det, rtol=1e-9)
             # from the moments of an h-row subset the determinant never rises
             assert mcd_c_step(x, new_center, new_cov, h)[3] <= public_det
+
+
+def full_search_lts(data, config):
+    """fit_lts's search without subsamples: concentrate on every row."""
+    x, y = data.design_matrix(), data.response_vector()
+    h = lts.trimmed_size(data.n, data.k, config.alpha)
+    starts = concentration.draw_starts(data.n, data.k, config)
+    return concentration.concentrate(lts._search_model(x, y, h), starts, h, config)
+
+
+def full_search_mcd(x, config):
+    """fit_mcd's search without subsamples: concentrate on every row."""
+    h = mcd.subset_size(len(x), config.h_fraction)
+    starts = concentration.draw_starts(len(x), x.shape[1], config)
+    return concentration.concentrate(mcd._search_model(x, h), starts, h, config)
+
+
+class TestNestedSearch:
+    def test_phases_and_bit_identical_rerun(self, rng, monkeypatch):
+        data = random_regression(rng, 1000, 3, outlier_fraction=0.2)
+        x = random_points(rng, 1000, 2, outliers=200)
+        built = {"lts": [], "mcd": []}
+        for name, module in (("lts", lts), ("mcd", mcd)):
+            def spy(rows, *args, _build=module._search_model, _sizes=built[name]):
+                _sizes.append(len(rows))
+                return _build(rows, *args)
+            monkeypatch.setattr(module, "_search_model", spy)
+        config = LtsConfig(seed=3)
+        first, again = fit_lts(data, config), fit_lts(data, config)
+        estimate, estimate_again = fit_mcd(x, McdConfig(seed=3)), fit_mcd(x, McdConfig(seed=3))
+        # three subsamples of 300 rows, their 900-row union, then every row, per fit
+        assert built["lts"] == built["mcd"] == [300, 300, 300, 900, 1000] * 2
+        for name in ("coefficients", "h_subset", "raw_residuals", "standardized_residuals"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
+        assert (again.objective, again.robust_scale, again.n_csteps_total, again.converged) == (
+            first.objective, first.robust_scale, first.n_csteps_total, first.converged)
+        for name in ("center", "scatter", "best_subset", "robust_distances"):
+            np.testing.assert_array_equal(getattr(estimate_again, name), getattr(estimate, name))
+        assert estimate_again.raw_determinant == estimate.raw_determinant
+        # the subsample and union C-steps are counted; refining 10 trials takes far fewer
+        assert first.n_csteps_total > 2 * config.n_starts
+
+    @pytest.mark.parametrize("n", [601, 1000, 2000, 5000])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_close_to_the_full_search(self, n, p):
+        for seed in (0, 1):
+            rng = np.random.default_rng(1000 * n + 10 * p + seed)
+            data = random_regression(rng, n, p + 1, outlier_fraction=0.2)
+            config = LtsConfig(seed=seed)
+            fit, full = fit_lts(data, config), full_search_lts(data, config)
+            assert fit.objective <= 1.01 * full.objective
+            raw = data.response_vector() - data.design_matrix() @ full.estimate
+            _, standardized = lts.standardize_residuals(full.objective, raw, fit.h, n)
+            np.testing.assert_array_equal(
+                np.abs(fit.standardized_residuals) > 2.5, np.abs(standardized) > 2.5)
+
+            x = random_points(rng, n, p, outliers=n // 5)
+            config = McdConfig(seed=seed)
+            estimate, full = fit_mcd(x, config), full_search_mcd(x, config)
+            assert estimate.raw_determinant <= 1.01 * full.objective
+            center, cov = full.estimate
+            full_estimate = replace(
+                estimate, center=center, scatter=cov * estimate.consistency_factor)
+            cutoff = np.sqrt(chi2_quantile(0.975, p))
+            np.testing.assert_array_equal(
+                estimate.robust_distances > cutoff,
+                mcd.robust_distances(x, full_estimate) > cutoff)
+
+    @pytest.mark.parametrize("n", [60, 600])
+    def test_unchanged_up_to_600_rows(self, rng, n):
+        data = random_regression(rng, n, 4, outlier_fraction=0.2)
+        config = LtsConfig(n_starts=100, seed=2)
+        fit, full = fit_lts(data, config), full_search_lts(data, config)
+        np.testing.assert_array_equal(fit.coefficients, full.estimate)
+        assert (fit.objective, fit.n_csteps_total, fit.converged) == (
+            full.objective, full.n_csteps, full.converged)
+
+        x = random_points(rng, n, 3, outliers=n // 5)
+        config = McdConfig(n_starts=100, seed=2)
+        estimate, full = fit_mcd(x, config), full_search_mcd(x, config)
+        np.testing.assert_array_equal(estimate.center, full.estimate[0])
+        np.testing.assert_array_equal(
+            estimate.scatter, full.estimate[1] * estimate.consistency_factor)
+        np.testing.assert_array_equal(estimate.best_subset, full.rows)
+        assert estimate.raw_determinant == full.objective

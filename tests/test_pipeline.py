@@ -354,6 +354,20 @@ class TestCli:
         assert "numerical failure" in err and "mcd" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("body", ["", "a,1.0,0.5,2.0\nb,2.0,1.5,1.0\nc,2.5,2.0,3.5\n"])
+    def test_fewer_rows_than_coefficients_exit_2(self, tmp_path, capsys, body):
+        # const, x1 and x2 need at least 4 rows
+        path = write_csv(tmp_path / "tiny.csv", "c,y,x1,x2\n" + body)
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1,x2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("hibreak: input error:")
+
+    def test_response_as_predictor_exit_4(self, tmp_path, capsys):
+        path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
+        code = main(["analyze", path, "--response", "y", "--predictors", "y"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("hibreak: bad flag value:")
+
     def test_bad_flag_exit_4(self, tmp_path, capsys):
         path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
         with pytest.raises(SystemExit) as exc:
