@@ -6,7 +6,8 @@ Everything here is a pure function, safe to call from any thread.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.special import chdtr, chdtri, ndtri, stdtr
 
 from .errors import DomainError, NotPositiveDefinite
@@ -15,12 +16,21 @@ from .errors import DomainError, NotPositiveDefinite
 PIVOT_RTOL = 1e-12
 
 
+def _pivots_ok(a: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Relative pivot test over the trailing two axes: every L[j, j]**2 > PIVOT_RTOL * max(diag(a)).
+
+    False (including for a NaN factor) is the signature of collinear input.
+    """
+    smallest_pivot = (low.diagonal(0, -2, -1) ** 2).min(-1)  # NaN if LAPACK failed
+    return smallest_pivot > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
+
+
 def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a (T, K, K) stack of symmetric matrices via LAPACK.
 
-    ok[t] is False when a pivot L[j, j]**2 of a[t] is at or below
-    PIVOT_RTOL * max(diag(a[t])), the signature of collinear input; that
-    factor becomes the identity, so one bad matrix never fails the others.
+    ok[t] is False when a[t] fails the shared pivot test (_pivots_ok, the
+    same rule cholesky_spd applies) or LAPACK rejects it; that factor
+    becomes the identity, so one bad matrix never fails the others.
     """
     a = np.asarray(a, dtype=float)
     try:
@@ -32,31 +42,45 @@ def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 low[t] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 pass
-    pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
-    tol = PIVOT_RTOL * np.diagonal(a, axis1=1, axis2=2).max(axis=1)
-    ok = np.all(pivots > tol[:, None], axis=1)
+    ok = _pivots_ok(a, low)
     low[~ok] = np.eye(a.shape[-1])
     return low, ok
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one matrix; NotPositiveDefinite if spd_factor rejects it."""
-    low, ok = spd_factor(np.asarray(a, dtype=float)[None])
-    if not ok[0]:
+    """Lower Cholesky factor of one symmetric matrix via one LAPACK call.
+
+    Raises NotPositiveDefinite when LAPACK rejects the matrix or it fails
+    the pivot test of spd_factor; the factor is bit-equal to spd_factor's.
+    """
+    a = np.asarray(a, dtype=float)
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefinite(f"LAPACK Cholesky failed: {err}") from err
+    if not _pivots_ok(a, low):
         raise NotPositiveDefinite(f"a Cholesky pivot is at or below {PIVOT_RTOL:g} * max(diag)")
-    return low[0]
+    return low
+
+
+def cho_apply(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (low @ low.T) x = b for a lower Cholesky factor and a 1-D or 2-D b (LAPACK dpotrs)."""
+    x, info = dpotrs(low, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def factor_determinant(low: np.ndarray) -> np.ndarray:
     """Determinant of L @ L.T from its lower factor (or a stack of factors)."""
-    return np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1) ** 2
+    return low.diagonal(0, -2, -1).prod(-1) ** 2
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite a via Cholesky.
 
-    a must be square and symmetric to 1e-10 relative; NotPositiveDefinite
-    signals collinearity (near-zero pivot).
+    a must be square and symmetric to 1e-10 relative and b finite;
+    NotPositiveDefinite signals collinearity (near-zero pivot).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -67,7 +91,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(a))) or 1.0
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10 relative")
-    return cho_solve((cholesky_spd(a), True), b)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return cho_apply(cholesky_spd(a), b)
 
 
 def spd_inverse_diag(low: np.ndarray) -> np.ndarray:
@@ -116,7 +142,7 @@ def mean_and_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, p = x.shape
     if n < p + 1:
         raise ValueError(f"need at least p+1={p + 1} rows for a p={p} covariance, got {n}")
-    center = x.mean(axis=0)
+    center = x.sum(axis=0) / n  # what x.mean(axis=0) computes, without its wrapper
     centered = x - center
     scatter = centered.T @ centered / (n - 1)
     return center, (scatter + scatter.T) / 2.0

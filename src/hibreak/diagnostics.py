@@ -55,25 +55,17 @@ class DiagnosticRecord:
 
 
 def distance_cutoff(thresholds: DiagnosticThresholds, p: int) -> float:
-    """Leverage cutoff sqrt(chi2_quantile(distance_quantile, p))."""
+    """Leverage cutoff sqrt(chi2_quantile(distance_quantile, p)); DomainError if p < 1."""
     return math.sqrt(chi2_quantile(thresholds.distance_quantile, p))
 
 
-def classify(
+def _record(
     standardized_residual: float,
     robust_distance: float,
     thresholds: DiagnosticThresholds,
-    p: int,
-    row_label: str = "",
+    d_cut: float,
+    row_label: str,
 ) -> DiagnosticRecord:
-    """Place one observation in the four-way taxonomy.
-
-    Boundary values count as exceeding (the outlier side is closed), so a
-    residual sitting exactly on the band is flagged.
-    """
-    if p < 1:
-        raise ValueError(f"predictor dimension p must be >= 1, got {p}")
-    d_cut = distance_cutoff(thresholds, p)
     big_residual = abs(standardized_residual) >= thresholds.residual_cutoff
     big_distance = robust_distance >= d_cut
     if big_residual and big_distance:
@@ -102,8 +94,25 @@ def classify(
     )
 
 
+def classify(
+    standardized_residual: float,
+    robust_distance: float,
+    thresholds: DiagnosticThresholds,
+    p: int,
+    row_label: str = "",
+) -> DiagnosticRecord:
+    """Place one observation in the four-way taxonomy.
+
+    Boundary values count as exceeding (the outlier side is closed), so a
+    residual sitting exactly on the band is flagged. p < 1 raises
+    DomainError, a ValueError.
+    """
+    d_cut = distance_cutoff(thresholds, p)
+    return _record(standardized_residual, robust_distance, thresholds, d_cut, row_label)
+
+
 def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[DiagnosticRecord]:
-    """One DiagnosticRecord per dataset row, in row order."""
+    """One DiagnosticRecord per dataset row, in row order; the cutoff is computed once."""
     thresholds = thresholds or DiagnosticThresholds()
     residuals = lts_fit.standardized_residuals
     distances = mcd_estimate.robust_distances
@@ -111,10 +120,10 @@ def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[
         raise LengthMismatch(
             f"{len(residuals)} residuals, {len(distances)} distances, {data.n} rows"
         )
-    p = len(data.predictors)
+    d_cut = distance_cutoff(thresholds, len(data.predictors))
     return [
-        classify(residuals[i], distances[i], thresholds, p, row_label=data.row_labels[i])
-        for i in range(data.n)
+        _record(residual, distance, thresholds, d_cut, label)
+        for residual, distance, label in zip(residuals, distances, data.row_labels)
     ]
 
 

@@ -13,12 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .concentration import Model, concentrate, lowest_rows, run_search
-from .core_stats import cholesky_spd, gaussian_quantile, spd_factor
+from .core_stats import cho_apply, cholesky_spd, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite, RankDeficientSubset
 from .ols import Dataset
+
+# A fit whose robust scale is at most this fraction of max |y| over the
+# h-subset is exact up to rounding (well-conditioned exact fits leave about
+# 1e-16 of it); residuals that small count as zero.
+EXACT_FIT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,10 @@ class LtsFit:
     objective is the sum of the h smallest squared residuals at the
     returned coefficients; h_subset holds exactly the rows attaining them
     (ties broken toward the lowest index). robust_scale is 0.0 only in the
-    degenerate exact-fit case, where standardized residuals are 0 for rows
-    on the fit and +/-inf sentinels elsewhere.
+    degenerate exact-fit case (scale at most EXACT_FIT_RTOL * max |y| over
+    h_subset), where standardized residuals are 0 for rows on the fit
+    (|residual| within that bound) and +/-inf sentinels elsewhere;
+    raw_residuals keep their computed values either way.
     """
 
     coefficients: np.ndarray
@@ -97,7 +103,7 @@ def _subset_fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray, h: int) -> tuple
         low = cholesky_spd(xs.T @ xs)
     except NotPositiveDefinite as err:
         raise RankDeficientSubset(str(err)) from err
-    beta = cho_solve((low, True), xs.T @ y[rows])
+    beta = cho_apply(low, xs.T @ y[rows])
     return _objective(_squared_residuals(x, y, beta), h), beta
 
 
@@ -151,7 +157,9 @@ def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
     result deterministic for a given seed. Above 600 rows the starts run
     on subsamples first (concentration.run_search). Trials whose selected
     rows turn collinear are discarded; AllStartsDegenerate means none
-    survived. The reported fit is recomputed from the winner's rows.
+    survived. The reported fit is recomputed from the winner's rows; a
+    robust scale within EXACT_FIT_RTOL of the size of y is an exact fit
+    (see LtsFit).
     """
     config = config or LtsConfig()
     x = data.design_matrix()
@@ -166,11 +174,16 @@ def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
 
     beta = search.estimate
     raw = y - x @ beta
+    h_subset = lowest_rows(raw * raw, h)
     scale, standardized = standardize_residuals(search.objective, raw, h, n)
+    negligible = EXACT_FIT_RTOL * float(np.abs(y[h_subset]).max())
+    if scale <= negligible:  # exact fit up to rounding: scale 0 with 0 / +-inf sentinels
+        on_fit = np.abs(raw) <= negligible
+        scale, standardized = standardize_residuals(0.0, np.where(on_fit, 0.0, raw), h, n)
     return LtsFit(
         coefficients=beta,
         objective=search.objective,
-        h_subset=lowest_rows(raw * raw, h),
+        h_subset=h_subset,
         raw_residuals=raw,
         robust_scale=scale,
         standardized_residuals=standardized,

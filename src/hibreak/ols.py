@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .core_stats import cholesky_spd, spd_inverse_diag, student_t_cdf
+from .core_stats import cho_apply, cholesky_spd, spd_inverse_diag, student_t_cdf
 from .errors import (
     ColumnMismatch,
     DuplicateLabel,
@@ -196,7 +195,7 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
         low = cholesky_spd(xtx)
     except NotPositiveDefinite as err:
         raise RankDeficient(f"collinear design matrix: {err}") from err
-    beta = cho_solve((low, True), xty)
+    beta = cho_apply(low, xty)
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .core_stats import cholesky_spd, factor_determinant, mean_and_cov
+from .core_stats import cho_apply, cholesky_spd, factor_determinant, mean_and_cov
 from .errors import AllSubsetsDegenerate, NotPositiveDefinite, TooLarge
 from .ols import Dataset
 
@@ -81,10 +80,10 @@ def exact_lts(data: Dataset, h: int) -> OracleResult:
     def evaluate(rows):
         xs = x[rows]
         low = cholesky_spd(xs.T @ xs)
-        beta = cho_solve((low, True), xs.T @ y[rows])
+        beta = cho_apply(low, xs.T @ y[rows])
         r = y - x @ beta
         r2 = r * r
-        return float(r2[np.argsort(r2, kind="stable")[:h]].sum()), beta
+        return float(np.sort(r2)[:h].sum()), beta
 
     return _enumerate(n, h, evaluate, "rank deficient")
 

@@ -6,17 +6,23 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import cho_solve
 
 from hibreak import (
     chi2_cdf,
     chi2_quantile,
     determinant,
+    exact_lts,
     gaussian_quantile,
+    lts_objective,
     mean_and_cov,
     solve_spd,
     student_t_cdf,
 )
+from hibreak.core_stats import cho_apply, cholesky_spd, spd_factor
 from hibreak.errors import DomainError, NotPositiveDefinite
+
+from conftest import random_regression
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +111,54 @@ class TestSolveSpd:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# Scalar Cholesky path (shared by the oracles, the LTS/MCD refit and OLS)
+# ---------------------------------------------------------------------------
+
+def random_spd(rng, k):
+    m = rng.normal(size=(k + 3, k))
+    return m.T @ m
+
+
+class TestScalarCholesky:
+    def test_bit_equal_to_batched_factor(self):
+        rng = np.random.default_rng(17)
+        for k in range(1, 11):
+            for _ in range(5):
+                a = random_spd(rng, k)
+                low, ok = spd_factor(a[None])
+                assert ok[0]
+                np.testing.assert_array_equal(cholesky_spd(a), low[0])
+
+    @pytest.mark.parametrize("a", [
+        np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        np.diag([1.0, 1e-14, 1.0]),
+        np.array([[2.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 2.0]]),
+    ], ids=["singular_outer_product", "tiny_pivot", "nan_entry"])
+    def test_rejects_what_the_batched_factor_rejects(self, a):
+        _, ok = spd_factor(a[None])
+        assert not ok[0]
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_spd(a)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["1d", "2d"])
+    def test_solve_bit_equal_to_cho_solve(self, shape):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            low = cholesky_spd(random_spd(rng, 4))
+            b = rng.normal(size=shape)
+            x = cho_apply(low, b)
+            assert x.shape == shape
+            np.testing.assert_array_equal(x, cho_solve((low, True), b))
+
+    def test_exact_lts_objective_matches_lts_objective(self):
+        rng = np.random.default_rng(29)
+        for n, k, h in [(8, 2, 6), (10, 3, 7), (12, 2, 9)]:
+            data = random_regression(rng, n, k, outlier_fraction=0.2)
+            result = exact_lts(data, h)
+            assert result.best_objective == lts_objective(data, result.coefficients_or_moments, h)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hibreak import (
     fit_mcd,
     outlier_map,
 )
+from hibreak.core_stats import chi2_quantile
 from hibreak.diagnostics import distance_cutoff
 from hibreak.errors import LengthMismatch
 
@@ -154,6 +155,23 @@ class TestClassifyAll:
                 row_label=data.row_labels[i],
             )
             assert solo == rec
+
+    def test_cutoff_quantile_computed_once(self, monkeypatch):
+        import hibreak.diagnostics as diagnostics
+
+        data = self.planted_instance()
+        lts = fit_lts(data, LtsConfig(alpha=0.25, seed=0))
+        mcd = fit_mcd(data.predictor_matrix(), McdConfig(seed=0))
+        calls = []
+
+        def counting_quantile(p, df):
+            calls.append((p, df))
+            return chi2_quantile(p, df)
+
+        monkeypatch.setattr(diagnostics, "chi2_quantile", counting_quantile)
+        records = classify_all(lts, mcd, data, THRESHOLDS)
+        assert len(records) == data.n
+        assert calls == [(THRESHOLDS.distance_quantile, 1)]
 
     def test_length_mismatch(self):
         data = self.planted_instance()

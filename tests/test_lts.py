@@ -190,6 +190,26 @@ class TestFitLts:
         on_line = np.delete(np.arange(10), 7)
         np.testing.assert_array_equal(fit.standardized_residuals[on_line], 0.0)
 
+    @pytest.mark.parametrize("magnitude", [1e-6, 1.0, 1e6])
+    def test_exact_fit_up_to_rounding(self, magnitude):
+        # y = 3.7x + 1.3 with three rows shifted off the line; rounding leaves
+        # residuals of about 1e-16 * |y| on the line, which must not set the scale
+        x = np.arange(30.0)
+        y = magnitude * (3.7 * x + 1.3)
+        shifted = [4, 12, 25]
+        shift = magnitude * np.array([20.0, -15.0, 30.0])
+        y[shifted] += shift
+        data = make_dataset(x, y)
+        fit = fit_lts(data, LtsConfig(seed=0))
+        assert fit.robust_scale == 0.0
+        sentinels = fit.standardized_residuals[shifted]
+        np.testing.assert_array_equal(sentinels, [np.inf, -np.inf, np.inf])
+        on_line = np.delete(np.arange(30), shifted)
+        np.testing.assert_array_equal(fit.standardized_residuals[on_line], 0.0)
+        raw = data.response_vector() - data.design_matrix() @ fit.coefficients
+        np.testing.assert_array_equal(fit.raw_residuals, raw)
+        np.testing.assert_allclose(fit.raw_residuals[shifted], shift)
+
     def test_all_starts_degenerate(self):
         data = make_dataset(np.ones(8), np.arange(8.0))
         with pytest.raises(AllStartsDegenerate):
