@@ -1,12 +1,96 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hibreak import exact_lts, exact_mcd, fit_ols
-from hibreak.errors import AllSubsetsDegenerate, TooLarge
+from hibreak import OracleResult, concentration, exact_lts, exact_mcd, fit_ols
+from hibreak.core_stats import cho_apply, cholesky_spd, factor_determinant, mean_and_cov
+from hibreak.errors import AllSubsetsDegenerate, NotPositiveDefinite, TooLarge
 
 from conftest import make_dataset, random_points, random_regression
+
+
+# The plain one-subset-at-a-time loop that the chunked oracles must
+# reproduce bit for bit.
+
+
+def reference_enumerate(n, h, evaluate, degenerate):
+    best = None
+    evaluated = 0
+    for combo in itertools.combinations(range(n), h):
+        rows = np.array(combo)
+        try:
+            objective, fit = evaluate(rows)
+        except NotPositiveDefinite:
+            continue
+        evaluated += 1
+        if best is None or objective < best[0]:
+            best = (objective, rows, fit)
+    if best is None:
+        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
+    objective, rows, fit = best
+    return OracleResult(rows, objective, fit, evaluated)
+
+
+def lts_subset(x, y, rows, h):
+    xs = x[rows]
+    low = cholesky_spd(xs.T @ xs)
+    beta = cho_apply(low, xs.T @ y[rows])
+    r = y - x @ beta
+    return float(np.sort(r * r)[:h].sum()), beta
+
+
+def mcd_subset(x, rows):
+    center, cov = mean_and_cov(x[rows])
+    return float(factor_determinant(cholesky_spd(cov))), (center, cov)
+
+
+def reference_lts(data, h):
+    x = data.design_matrix()
+    y = data.response_vector()
+    return reference_enumerate(len(y), h, lambda rows: lts_subset(x, y, rows, h), "rank deficient")
+
+
+def reference_mcd(x, h):
+    x = np.asarray(x, dtype=float)
+    return reference_enumerate(len(x), h, lambda rows: mcd_subset(x, rows), "degenerate")
+
+
+def assert_bit_identical(result, reference):
+    np.testing.assert_array_equal(result.best_subset, reference.best_subset)
+    assert result.best_objective == reference.best_objective
+    assert result.n_subsets_evaluated == reference.n_subsets_evaluated
+    fit, expected = result.coefficients_or_moments, reference.coefficients_or_moments
+    if isinstance(expected, tuple):
+        assert len(fit) == len(expected)
+        for got, want in zip(fit, expected):
+            assert np.array_equal(got, want)
+    else:
+        assert np.array_equal(fit, expected)
+
+
+def assert_lts_matches_reference(data, h):
+    try:
+        expected = reference_lts(data, h)
+    except AllSubsetsDegenerate as err:
+        with pytest.raises(AllSubsetsDegenerate, match=re.escape(str(err))):
+            exact_lts(data, h)
+        return None
+    assert_bit_identical(exact_lts(data, h), expected)
+    return expected
+
+
+def assert_mcd_matches_reference(x, h):
+    try:
+        expected = reference_mcd(x, h)
+    except AllSubsetsDegenerate as err:
+        with pytest.raises(AllSubsetsDegenerate, match=re.escape(str(err))):
+            exact_mcd(x, h)
+        return None
+    assert_bit_identical(exact_mcd(x, h), expected)
+    return expected
 
 
 class TestExactLts:
@@ -55,6 +139,10 @@ class TestExactLts:
         with pytest.raises(ValueError):
             exact_lts(data, 2)
 
+    def test_h_above_n(self, rng):
+        with pytest.raises(ValueError, match="exceeds n"):
+            exact_lts(random_regression(rng, 8, 2), 9)
+
 
 class TestExactMcd:
     def test_skips_degenerate_exact_fit(self):
@@ -88,3 +176,82 @@ class TestExactMcd:
     def test_h_below_p_plus_one(self, rng):
         with pytest.raises(ValueError):
             exact_mcd(rng.normal(size=(8, 3)), 3)
+
+    def test_h_above_n(self, rng):
+        with pytest.raises(ValueError, match="exceeds n"):
+            exact_mcd(rng.normal(size=(8, 2)), 9)
+
+
+@pytest.fixture(params=[1, 1 << 40], ids=["chunk_of_one", "one_chunk"])
+def chunk_bound(request, monkeypatch):
+    """Chunks of one subset (every best-so-far update crosses a chunk) or all in one chunk."""
+    monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", request.param)
+
+
+@pytest.mark.usefixtures("chunk_bound")
+class TestChunkedMatchesLoop:
+    def test_random_designs(self, rng):
+        for n, k, h in [(8, 2, 5), (10, 3, 8), (12, 2, 9), (9, 4, 9)]:
+            assert_lts_matches_reference(random_regression(rng, n, k, outlier_fraction=0.2), h)
+        for n, p, h in [(8, 1, 5), (10, 2, 7), (11, 3, 8), (9, 2, 9)]:
+            assert_mcd_matches_reference(random_points(rng, n, p, outliers=2), h)
+
+    def test_determinant_squared_as_on_scalar_path(self):
+        # here the winner's diagonal product v has v * v one ulp away from
+        # the scalar path's v ** 2
+        x = random_points(np.random.default_rng(2061), 8, 2, outliers=2)
+        expected = assert_mcd_matches_reference(x, 6)
+        low = cholesky_spd(expected.coefficients_or_moments[1])
+        product = low.diagonal().prod()
+        assert product * product != expected.best_objective
+
+    def test_staircase_exact_fit(self):
+        data = make_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 100.0])
+        assert_lts_matches_reference(data, 3)
+        x = np.arange(10.0)
+        y = 3.7 * x + 1.3
+        y[[2, 7]] += [40.0, -25.0]
+        assert_lts_matches_reference(make_dataset(x, y), 7)
+        assert_mcd_matches_reference(np.array([[5.0], [5.0], [5.0], [5.0], [100.0]]), 4)
+
+    def test_designs_with_degenerate_subsets(self, rng):
+        x = rng.normal(size=(9, 2))
+        x[1] = x[0]
+        x[5] = x[4]
+        y = x @ [1.5, -2.0] + rng.normal(size=9)
+        y[1] = y[0]
+        expected = assert_lts_matches_reference(make_dataset(x, y), 4)
+        assert expected.n_subsets_evaluated < math.comb(9, 4)
+        expected = assert_mcd_matches_reference(x, 3)
+        assert expected.n_subsets_evaluated < math.comb(9, 3)
+        dummy = np.column_stack([rng.normal(size=10), (np.arange(10) < 3).astype(float)])
+        y = dummy @ [0.5, 4.0] + rng.normal(size=10)
+        expected = assert_lts_matches_reference(make_dataset(dummy, y), 6)
+        assert expected.n_subsets_evaluated < math.comb(10, 6)
+        expected = assert_mcd_matches_reference(dummy, 6)
+        assert expected.n_subsets_evaluated < math.comb(10, 6)
+
+    def test_exact_ties_go_to_first_subset(self):
+        # rows 0 and 1 are the same y-outlier, so dropping either gives the
+        # same design bit for bit; (0, 2, ...) precedes (1, 2, ...)
+        data = make_dataset([3.5, 3.5, 1.0, 2.0, 4.0, 5.0, 6.0], [50.0, 50.0, 1.1, 1.9, 4.05, 5.0, 6.1])
+        expected = assert_lts_matches_reference(data, 6)
+        np.testing.assert_array_equal(expected.best_subset, [0, 2, 3, 4, 5, 6])
+        x, y = data.design_matrix(), data.response_vector()
+        assert lts_subset(x, y, np.array([1, 2, 3, 4, 5, 6]), 6)[0] == expected.best_objective
+        # pairs of distinct points all have variance 0.5
+        expected = assert_mcd_matches_reference(np.array([[0.0], [0.0], [1.0], [1.0], [5.0]]), 2)
+        np.testing.assert_array_equal(expected.best_subset, [0, 2])
+
+    def test_all_degenerate(self):
+        assert assert_lts_matches_reference(make_dataset(np.ones(6), np.arange(6.0)), 4) is None
+        line = np.outer(np.arange(6.0), [1.0, 2.0])
+        assert assert_mcd_matches_reference(line, 4) is None
+
+    def test_offset_designs(self, rng):
+        for n, k, h in [(10, 2, 7), (11, 3, 8)]:
+            data = random_regression(rng, n, k, outlier_fraction=0.2)
+            shifted = make_dataset(data.predictor_matrix() + 1e5, data.response_vector())
+            assert_lts_matches_reference(shifted, h)
+        for n, p, h in [(10, 1, 7), (11, 2, 8), (10, 3, 7)]:
+            assert_mcd_matches_reference(random_points(rng, n, p, outliers=2) + 1e5, h)
