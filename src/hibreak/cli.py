@@ -1,7 +1,7 @@
 """Command line entry point: hibreak analyze <csv> --response ... --predictors ...
 
-Exit codes: 0 success, 2 input or parse problem, 3 numerical failure
-(collinearity, degenerate starts), 4 bad flags.
+Exit codes: 0 success, 2 unreadable or unusable input (InputError, OSError),
+3 numerical failure (NumericalError), 4 bad flags; README has the full table.
 """
 
 from __future__ import annotations
@@ -10,14 +10,7 @@ import argparse
 import sys
 
 from .diagnostics import DiagnosticThresholds, outlier_map
-from .errors import (
-    DuplicateLabel,
-    HibreakError,
-    MissingColumn,
-    ParseError,
-    TooFewRows,
-    TooLarge,
-)
+from .errors import InputError, NumericalError
 # The CLI no longer calls fit_lts or fit_mcd itself; both names stay in this
 # module's namespace because perfbench/tracing.py wraps them here.
 from .lts import LtsConfig, fit_lts, trimmed_size  # noqa: F401
@@ -109,24 +102,19 @@ def _run_analyze(args) -> int:
 
     try:
         data = load_csv(args.csv, model)
-    except (FileNotFoundError, ParseError, MissingColumn, DuplicateLabel, TooFewRows) as err:
-        print(f"hibreak: input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
         report = run_analysis(data, config)
         oracle = _oracle_section(data, config, report) if args.oracle else None
-    except TooLarge as err:
-        print(f"hibreak: input too large for --oracle: {err}", file=sys.stderr)
+        if args.plot_data:  # before the report, so that a bad path prints nothing
+            with open(args.plot_data, "w", encoding="utf-8") as fh:
+                fh.write(outlier_map(report.diagnostics).to_json())
+    except (InputError, OSError) as err:
+        print(f"hibreak: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except HibreakError as err:  # includes the PipelineStageError of each stage
+    except NumericalError as err:  # includes the PipelineStageError of each stage
         print(f"hibreak: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     print(render_report(report, args.format, oracle=oracle))
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write(outlier_map(report.diagnostics).to_json())
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
+from .errors import AllStartsDegenerate, NotPositiveDefinite
 
 # Subset optima repeat bitwise at a fixed point, so a trial has converged
 # when a step changes its objective by <= this relative amount.
@@ -55,7 +55,7 @@ class Model:
     (T,) objectives and non-degenerate mask. score(params) gives the (T, n)
     scores a C-step ranks rows by. refit(rows) is the scalar path of the
     reported estimate: (objective, estimate) for one subset, or
-    RankDeficientSubset / SingularSubset.
+    NotPositiveDefinite.
     """
 
     terms: np.ndarray
@@ -174,7 +174,7 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
         rows = np.flatnonzero(mask)
         try:
             objective, estimate = model.refit(rows)
-        except (RankDeficientSubset, SingularSubset):
+        except NotPositiveDefinite:
             continue
         if best is None or (objective, trial) < (best.objective, best_trial):
             best, best_trial = Search(objective, estimate, rows, bool(converged), n_csteps), trial

@@ -34,12 +34,12 @@ class DiagnosticThresholds:
     distance_quantile: float = 0.975
     severe_residual_cutoff: float = 4.0
 
-    def __post_init__(self):
-        if self.residual_cutoff <= 0.0:
+    def __post_init__(self):  # each test is written so that NaN fails it
+        if not self.residual_cutoff > 0.0:
             raise ValueError("residual_cutoff must be positive")
         if not 0.0 < self.distance_quantile < 1.0:
             raise ValueError("distance_quantile must lie in (0, 1)")
-        if self.severe_residual_cutoff < self.residual_cutoff:
+        if not self.severe_residual_cutoff >= self.residual_cutoff:
             raise ValueError("severe_residual_cutoff must be >= residual_cutoff")
 
 

@@ -1,62 +1,55 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+The CLI exits 2 for an InputError and 3 for a NumericalError (README has
+the table); DomainError and LengthMismatch are ValueErrors of API misuse.
+"""
 
 
 class HibreakError(Exception):
-    """Base class for all errors raised by hibreak."""
+    """Base class for InputError and NumericalError."""
 
 
-class NotPositiveDefinite(HibreakError):
-    """A Cholesky pivot fell below the collinearity threshold."""
+class InputError(HibreakError):
+    """The input cannot be analysed as given; the CLI exits 2."""
 
 
-class DomainError(HibreakError, ValueError):
+class NumericalError(HibreakError):
+    """A computation on valid input failed; the CLI exits 3."""
+
+
+class NotPositiveDefinite(NumericalError):
+    """A Cholesky pivot fell below the collinearity threshold: collinear rows or columns."""
+
+
+class DomainError(ValueError):
     """A probability or parameter lies outside its valid domain."""
 
 
-class RankDeficient(HibreakError):
-    """The design matrix has collinear columns."""
-
-
-class TooFewRows(HibreakError, ValueError):
+class TooFewRows(InputError, ValueError):
     """Not enough rows to fit the requested number of coefficients."""
 
 
-class ColumnMismatch(HibreakError):
-    """A dataset is missing columns the fit was built on."""
+class AllStartsDegenerate(NumericalError):
+    """Every randomized (or exhaustive) trial or enumerated subset was degenerate."""
 
 
-class RankDeficientSubset(HibreakError):
-    """The rows selected by a concentration step are collinear."""
-
-
-class SingularSubset(HibreakError):
-    """The rows selected by an MCD step lie in a lower-dimensional subspace."""
-
-
-class AllStartsDegenerate(HibreakError):
-    """Every randomized (or exhaustive) trial hit a degenerate subset."""
-
-
-class ConstantColumn(HibreakError):
+class ConstantColumn(NumericalError):
     """A predictor column is constant; its scatter is degenerate."""
 
 
-class LengthMismatch(HibreakError):
+class LengthMismatch(ValueError):
     """Per-row inputs do not cover the same rows."""
 
 
-class TooLarge(HibreakError):
+class TooLarge(InputError):
     """Exhaustive enumeration would exceed the subset budget."""
 
 
-class AllSubsetsDegenerate(HibreakError):
-    """Every enumerated subset was rank deficient."""
+class ParseError(InputError):
+    """A CSV cell failed to parse as a finite number, or the file could not be read.
 
-
-class ParseError(HibreakError):
-    """A CSV cell failed to parse as a finite number.
-
-    Carries the 1-based data row index and the column name.
+    Carries the 1-based data row index (lines read, for an unreadable file)
+    and the column name ("" when no one column is at fault).
     """
 
     def __init__(self, row: int, column: str, message: str = ""):
@@ -65,15 +58,11 @@ class ParseError(HibreakError):
         super().__init__(message or f"cannot parse cell at row {row}, column {column!r}")
 
 
-class MissingColumn(HibreakError):
-    """A model references a column the file does not provide."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"column {name!r} not found in input")
+class MissingColumn(InputError):
+    """A model references a column the data does not provide."""
 
 
-class DuplicateLabel(HibreakError):
+class DuplicateLabel(InputError):
     """Two rows share the same label."""
 
     def __init__(self, label: str):
@@ -81,10 +70,19 @@ class DuplicateLabel(HibreakError):
         super().__init__(f"duplicate row label {label!r}")
 
 
-class PipelineStageError(HibreakError):
-    """An analysis stage failed; wraps the stage name and original error."""
+class PipelineStageError(NumericalError):
+    """An analysis stage failed; wraps the stage name and original error.
+
+    run_analysis raises it for every HibreakError of a stage, so those exit 3.
+    """
 
     def __init__(self, stage: str, cause: Exception):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r}: {cause}")
+
+
+# Former names, kept for existing imports.
+RankDeficient = RankDeficientSubset = SingularSubset = NotPositiveDefinite
+AllSubsetsDegenerate = AllStartsDegenerate
+ColumnMismatch = MissingColumn

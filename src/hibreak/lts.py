@@ -16,7 +16,6 @@ import numpy as np
 
 from .concentration import Model, concentrate, lowest_rows, run_search
 from .core_stats import cho_apply, cholesky_spd, gaussian_quantile, spd_factor
-from .errors import NotPositiveDefinite, RankDeficientSubset
 from .ols import Dataset
 
 # A fit whose robust scale is at most this fraction of max |y| over the
@@ -40,6 +39,8 @@ class LtsConfig:
             raise ValueError(f"alpha must lie in [0, 0.5], got {self.alpha}")
         if min(self.n_starts, self.n_best_kept, self.max_csteps) < 1:
             raise ValueError("n_starts, n_best_kept and max_csteps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -97,12 +98,9 @@ def _objective(r2: np.ndarray, h: int) -> float:
 
 
 def _subset_fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray, h: int) -> tuple[float, np.ndarray]:
-    """(objective, coefficients) of OLS on the given rows; RankDeficientSubset if collinear."""
+    """(objective, coefficients) of OLS on the given rows; NotPositiveDefinite if collinear."""
     xs = x[rows]
-    try:
-        low = cholesky_spd(xs.T @ xs)
-    except NotPositiveDefinite as err:
-        raise RankDeficientSubset(str(err)) from err
+    low = cholesky_spd(xs.T @ xs)
     beta = cho_apply(low, xs.T @ y[rows])
     return _objective(_squared_residuals(x, y, beta), h), beta
 
@@ -139,7 +137,7 @@ def c_step(
     Selects the h rows with the smallest squared residuals under beta
     (ties toward the lowest index), refits OLS on exactly those rows, and
     returns (new_beta, new_objective, selected_rows). The new objective
-    never exceeds lts_objective(data, beta, h); RankDeficientSubset means
+    never exceeds lts_objective(data, beta, h); NotPositiveDefinite means
     the selected rows are collinear and the trial should be discarded.
     """
     x, y = data.design_matrix(), data.response_vector()

@@ -25,7 +25,7 @@ from .core_stats import (
     mean_and_cov,
     spd_factor,
 )
-from .errors import ConstantColumn, NotPositiveDefinite, SingularSubset, TooFewRows
+from .errors import ConstantColumn, TooFewRows
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class McdConfig:
             raise ValueError(f"h_fraction must lie in (0.5, 1], got {self.h_fraction}")
         if min(self.n_starts, self.n_best_kept, self.max_csteps) < 1:
             raise ValueError("n_starts, n_best_kept and max_csteps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -87,14 +89,10 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.nd
 def _subset_moments(x: np.ndarray, rows: np.ndarray):
     """(covariance determinant, (mean, covariance)) of the given rows.
 
-    SingularSubset when the rows lie in a lower-dimensional affine subspace.
+    NotPositiveDefinite when the rows lie in a lower-dimensional affine subspace.
     """
     center, cov = mean_and_cov(x[rows])
-    try:
-        low = cholesky_spd(cov)
-    except NotPositiveDefinite as err:
-        raise SingularSubset(str(err)) from err
-    return float(factor_determinant(low)), (center, cov)
+    return float(factor_determinant(cholesky_spd(cov))), (center, cov)
 
 
 def _search_model(x: np.ndarray, h: int) -> Model:
@@ -133,15 +131,12 @@ def mcd_c_step(
     Selects the h rows closest in Mahalanobis distance (ties toward the
     lowest index) and returns their classical mean, covariance, the row
     subset, and the covariance determinant; starting from the moments of
-    any h-row subset the determinant never increases. SingularSubset means
-    the selection collapsed onto a lower-dimensional subspace and the
-    trial should be discarded.
+    any h-row subset the determinant never increases. NotPositiveDefinite
+    means the input scatter or the selection is singular, and the trial
+    should be discarded.
     """
     x = np.asarray(x, dtype=float)
-    try:
-        low = cholesky_spd(np.asarray(scatter, dtype=float))
-    except NotPositiveDefinite as err:
-        raise SingularSubset(f"input scatter not positive definite: {err}") from err
+    low = cholesky_spd(np.asarray(scatter, dtype=float))
     subset = lowest_rows(_mahalanobis_sq(x, np.asarray(center, float), low), h)
     det, (new_center, new_cov) = _subset_moments(x, subset)
     return new_center, new_cov, subset, det

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_stats import cho_apply, cholesky_spd, spd_inverse_diag, student_t_cdf
-from .errors import (
-    ColumnMismatch,
-    DuplicateLabel,
-    NotPositiveDefinite,
-    RankDeficient,
-    TooFewRows,
-)
+from .errors import DuplicateLabel, InputError, MissingColumn, NotPositiveDefinite, TooFewRows
 
 
 @dataclass(eq=False)
@@ -22,6 +16,7 @@ class Dataset:
 
     values holds every column from the source, one row per observation;
     response/predictors pick the modelled columns out of column_names.
+    Repeated column names or row labels raise an InputError.
     """
 
     row_labels: tuple[str, ...]
@@ -50,9 +45,12 @@ class Dataset:
             if label in seen:
                 raise DuplicateLabel(label)
             seen.add(label)
+        repeated = sorted({c for c in self.column_names if self.column_names.count(c) > 1})
+        if repeated:
+            raise InputError(f"repeated column names {repeated}")
         for name in (self.response, *self.predictors):
             if name not in self.column_names:
-                raise ColumnMismatch(f"column {name!r} not in dataset")
+                raise MissingColumn(f"column {name!r} not in dataset")
         if self.response in self.predictors:
             raise ValueError(f"response {self.response!r} is also a predictor")
         if self.n < self.k + 1:
@@ -194,7 +192,7 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
     try:
         low = cholesky_spd(xtx)
     except NotPositiveDefinite as err:
-        raise RankDeficient(f"collinear design matrix: {err}") from err
+        raise NotPositiveDefinite(f"collinear design matrix: {err}") from err
     beta = cho_apply(low, xty)
 
     residuals = y - x @ beta
@@ -244,13 +242,13 @@ def predict(fit: RegressionFit, data: Dataset) -> np.ndarray:
     """Fitted values X @ beta for each row of data, using the fit's columns."""
     missing = [name for name in fit.predictors if name not in data.column_names]
     if missing:
-        raise ColumnMismatch(f"data lacks predictor columns {missing}")
+        raise MissingColumn(f"data lacks predictor columns {missing}")
     idx = [data.column_names.index(name) for name in fit.predictors]
     x = data.values[:, idx]
     if fit.has_intercept:
         x = np.column_stack([np.ones(x.shape[0]), x])
     if x.shape[1] != len(fit.coefficients):
-        raise ColumnMismatch(
+        raise MissingColumn(
             f"design width {x.shape[1]} does not match {len(fit.coefficients)} coefficients"
         )
     return x @ fit.coefficients

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import concentration
 from .core_stats import cho_apply, spd_factor
-from .errors import AllSubsetsDegenerate, TooLarge
+from .errors import AllStartsDegenerate, TooLarge
 from .ols import Dataset
 
 MAX_SUBSETS = 10**6
@@ -79,7 +79,7 @@ def _enumerate(n: int, h: int, width: int, evaluate, degenerate: str) -> OracleR
         if best is None or objectives[j] < best[0]:
             best = (float(objectives[j]), subsets[kept[j]].copy(), fit(j))
     if best is None:
-        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
+        raise AllStartsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
     objective, rows, fit = best
     return OracleResult(
         best_subset=rows,

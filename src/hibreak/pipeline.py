@@ -24,13 +24,7 @@ from .diagnostics import (
     classify_all,
     distance_cutoff,
 )
-from .errors import (
-    DuplicateLabel,
-    HibreakError,
-    MissingColumn,
-    ParseError,
-    PipelineStageError,
-)
+from .errors import DuplicateLabel, HibreakError, ParseError, PipelineStageError
 from .lts import LtsConfig, LtsFit, fit_lts
 from .mcd import McdConfig, McdEstimate, fit_mcd
 from .ols import Dataset, RegressionFit, fit_ols
@@ -84,6 +78,16 @@ class AnalysisReport:
     mcd_estimate: McdEstimate | None = field(default=None, repr=False)
 
 
+def _csv_rows(fh):
+    """The csv.reader rows of fh; text that is not UTF-8 or that csv rejects raises ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as err:
+        n_read = reader.line_num
+        raise ParseError(n_read, "", f"cannot read the CSV after {n_read} lines: {err}") from None
+
+
 def load_csv(path: str, model: ModelSpec) -> Dataset:
     """Read a dataset: header row, label column first, numeric cells.
 
@@ -91,7 +95,7 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
     NaN and infinite cells are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if not header:
             raise ParseError(0, "", "file has no header row")
@@ -119,9 +123,6 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
                 parsed.append(value)
             labels.append(label)
             rows.append(parsed)
-    for name in (model.response, *model.predictors):
-        if name not in columns:
-            raise MissingColumn(name)
     return Dataset(
         row_labels=tuple(labels),
         column_names=columns,

@@ -126,6 +126,18 @@ class TestFitOls:
                 values=np.arange(8.0).reshape(4, 2),
             )
 
+    def test_repeated_column_names_rejected(self):
+        from hibreak.errors import InputError
+
+        with pytest.raises(InputError, match="repeated column names"):
+            Dataset(
+                row_labels=("a", "b", "c", "d"),
+                column_names=("y", "x1", "x1"),
+                response="y",
+                predictors=("x1",),
+                values=np.arange(12.0).reshape(4, 3),
+            )
+
     def test_no_intercept_r_squared_uncentered(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         fit = fit_ols(make_dataset(x, 2.0 * x, has_intercept=False))

@@ -16,8 +16,9 @@ from hibreak import (
     report_from_json,
     run_analysis,
 )
+from hibreak import errors
 from hibreak.cli import main
-from hibreak.errors import DuplicateLabel, MissingColumn, ParseError
+from hibreak.errors import DuplicateLabel, InputError, MissingColumn, NumericalError, ParseError
 from hibreak.ols import RegressionFit, t_and_p
 from hibreak.pipeline import AnalysisConfig, ModelSpec
 
@@ -106,6 +107,18 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(str(tmp_path / "nope.csv"), MODEL_XY)
+
+    def test_oversized_cell_is_a_parse_error(self, tmp_path):
+        # the csv module caps a field at 131,072 characters
+        path = write_csv(tmp_path / "long.csv", "c,y,x1\na,1.0,2.0\nb,1.0," + "1" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_csv(path, MODEL_XY)
+        assert err.value.row == 3
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "cols.csv", "c,y,x1,x1\na,1.0,2.0,3.0\nb,2.0,3.0,4.0\n")
+        with pytest.raises(InputError, match="repeated column names"):
+            load_csv(path, MODEL_XY)
 
     def test_growth_regression_shape(self, tmp_path):
         # 61 countries, five columns, K=5 with the intercept
@@ -201,6 +214,21 @@ class TestRunAnalysis:
         a = render_report(run_analysis(data, config), "json")
         b = render_report(run_analysis(data, config), "json")
         assert a.encode() == b.encode()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LtsConfig(seed=-1),
+        lambda: McdConfig(seed=-1),
+        lambda: DiagnosticThresholds(residual_cutoff=float("nan")),
+        lambda: DiagnosticThresholds(severe_residual_cutoff=float("nan")),
+    ],
+    ids=["lts_seed", "mcd_seed", "residual_nan", "severe_nan"],
+)
+def test_negative_seed_and_nan_cutoff_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestRenderReport:
@@ -393,6 +421,54 @@ class TestCli:
         assert parsed["ols"]["coefficient_names"] == ["x1"]
         assert parsed["config"]["model"]["has_intercept"] is False
         assert abs(parsed["ols"]["coefficients"][0] - 3.0) < 0.05
+
+    @pytest.mark.parametrize(
+        ("case", "code", "prefix"),
+        [
+            ("non_utf8", 2, "hibreak: input error:"),
+            ("directory", 2, "hibreak: input error:"),
+            ("plot_in_missing_dir", 2, "hibreak: input error:"),
+            ("oversized_cell", 2, "hibreak: input error:"),
+            ("repeated_column", 2, "hibreak: input error:"),
+            ("negative_seed", 4, "hibreak: bad flag value:"),
+            ("nan_cutoff", 4, "hibreak: bad flag value:"),
+        ],
+    )
+    def test_error_exits_without_traceback(self, tmp_path, capsys, case, code, prefix):
+        body = "".join(f"r{i},{i % 3 + 0.5 * i},{i}\n" for i in range(12))
+        good = "c,y,x1\n" + body
+        path = tmp_path / "data.csv"
+        path.write_text(good, encoding="utf-8")
+        flags = []
+        if case == "non_utf8":
+            path.write_bytes(good.replace("r1,", "caf\xe9,").encode("latin-1"))
+        elif case == "directory":
+            path = tmp_path
+        elif case == "plot_in_missing_dir":
+            flags = ["--plot-data", str(tmp_path / "nodir" / "map.json")]
+        elif case == "oversized_cell":
+            path.write_text(good + "big,1.0," + "1" * 200_000 + "\n", encoding="utf-8")
+        elif case == "repeated_column":
+            path.write_text("c,y,x1,x1\n" + body.replace("\n", ",1\n"), encoding="utf-8")
+        elif case == "negative_seed":
+            flags = ["--seed", "-1"]
+        else:
+            flags = ["--resid-cutoff", "nan"]
+        assert main(["analyze", str(path), "--response", "y", "--predictors", "x1", *flags]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    def test_every_error_type_has_one_exit_code(self):
+        # InputError exits 2 and NumericalError 3; plain ValueErrors are API misuse
+        bases = (errors.HibreakError, InputError, NumericalError)
+        defined = {c for c in vars(errors).values()
+                   if isinstance(c, type) and c.__module__ == errors.__name__}
+        for cls in defined - set(bases):
+            kinds = [issubclass(cls, InputError), issubclass(cls, NumericalError),
+                     not issubclass(cls, errors.HibreakError) and issubclass(cls, ValueError)]
+            assert kinds.count(True) == 1, cls
 
     def test_console_script_runs(self, tmp_path):
         path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
