@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core_stats import chi2_quantile
 from .errors import LengthMismatch
 from .ols import Dataset
@@ -59,39 +61,29 @@ def distance_cutoff(thresholds: DiagnosticThresholds, p: int) -> float:
     return math.sqrt(chi2_quantile(thresholds.distance_quantile, p))
 
 
-def _record(
-    standardized_residual: float,
-    robust_distance: float,
-    thresholds: DiagnosticThresholds,
-    d_cut: float,
-    row_label: str,
-) -> DiagnosticRecord:
-    big_residual = abs(standardized_residual) >= thresholds.residual_cutoff
-    big_distance = robust_distance >= d_cut
-    if big_residual and big_distance:
-        label = Classification.BAD_LEVERAGE
-    elif big_residual:
-        label = Classification.VERTICAL_OUTLIER
-    elif big_distance:
-        label = Classification.GOOD_LEVERAGE
-    else:
-        label = Classification.REGULAR
-    drop = bool(
-        label is Classification.BAD_LEVERAGE
-        or (
-            label is Classification.VERTICAL_OUTLIER
-            and abs(standardized_residual) >= thresholds.severe_residual_cutoff
+# In definition order, indexed by 2 * (distance >= cutoff) + (|residual| >= cutoff).
+_CLASSES = tuple(Classification)
+
+
+def _records(residuals, distances, labels, thresholds, d_cut) -> list[DiagnosticRecord]:
+    """The four-way rule and the drop rule for whole arrays, one record per label.
+
+    NaN compares false, so a NaN residual or distance never counts as big.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    distances = np.asarray(distances, dtype=float)
+    size = np.abs(residuals)
+    big_residual = size >= thresholds.residual_cutoff
+    big_distance = distances >= d_cut
+    # Bad leverage always drops; a vertical outlier only when severe.
+    drop = big_residual & (big_distance | (size >= thresholds.severe_residual_cutoff))
+    codes = 2 * big_distance + big_residual
+    return [
+        DiagnosticRecord(label, r, d, thresholds.residual_cutoff, d_cut, _CLASSES[c], dr)
+        for label, r, d, c, dr in zip(
+            labels, residuals.tolist(), distances.tolist(), codes.tolist(), drop.tolist()
         )
-    )
-    return DiagnosticRecord(
-        row_label=row_label,
-        standardized_residual=float(standardized_residual),
-        robust_distance=float(robust_distance),
-        residual_cutoff=thresholds.residual_cutoff,
-        distance_cutoff=d_cut,
-        classification=label,
-        drop_recommended=drop,
-    )
+    ]
 
 
 def classify(
@@ -108,7 +100,7 @@ def classify(
     DomainError, a ValueError.
     """
     d_cut = distance_cutoff(thresholds, p)
-    return _record(standardized_residual, robust_distance, thresholds, d_cut, row_label)
+    return _records([standardized_residual], [robust_distance], [row_label], thresholds, d_cut)[0]
 
 
 def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[DiagnosticRecord]:
@@ -121,10 +113,7 @@ def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[
             f"{len(residuals)} residuals, {len(distances)} distances, {data.n} rows"
         )
     d_cut = distance_cutoff(thresholds, len(data.predictors))
-    return [
-        _record(residual, distance, thresholds, d_cut, label)
-        for residual, distance, label in zip(residuals, distances, data.row_labels)
-    ]
+    return _records(residuals, distances, data.row_labels, thresholds, d_cut)
 
 
 @dataclass(eq=False)

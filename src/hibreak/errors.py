@@ -48,8 +48,8 @@ class TooLarge(InputError):
 class ParseError(InputError):
     """A CSV cell failed to parse as a finite number, or the file could not be read.
 
-    Carries the 1-based data row index (lines read, for an unreadable file)
-    and the column name ("" when no one column is at fault).
+    Carries the 1-based data row index (lines read if csv rejects the file,
+    the first non-UTF-8 line, header 0) and the column name ("" if none).
     """
 
     def __init__(self, row: int, column: str, message: str = ""):

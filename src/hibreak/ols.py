@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_stats import cho_apply, cholesky_spd, spd_inverse_diag, student_t_cdf
-from .errors import DuplicateLabel, InputError, MissingColumn, NotPositiveDefinite, TooFewRows
+from .errors import DuplicateLabel, InputError, MissingColumn, NotPositiveDefinite
+from .errors import NumericalError, TooFewRows
 
 
 @dataclass(eq=False)
@@ -196,16 +198,16 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
     beta = cho_apply(low, xty)
 
     residuals = y - x @ beta
-    rss = float(residuals @ residuals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rss = float(residuals @ residuals)
+        tss = float(np.sum((y - y.mean()) ** 2)) if data.has_intercept else float(y @ y)
+    if not (math.isfinite(rss) and math.isfinite(tss)):
+        raise NumericalError("sum of squares overflows: the data are too large in magnitude")
     df_resid = n_used - k
     sigma2 = rss / df_resid
     se = np.sqrt(sigma2 * spd_inverse_diag(low))
     t, p = t_and_p(beta, se, df_resid)
 
-    if data.has_intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
     if tss > 0.0:
         r_squared = 1.0 - rss / tss
     else:

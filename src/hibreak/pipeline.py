@@ -83,9 +83,18 @@ def _csv_rows(fh):
     reader = csv.reader(fh)
     try:
         yield from reader
-    except (csv.Error, UnicodeDecodeError) as err:
+    except csv.Error as err:
         n_read = reader.line_num
         raise ParseError(n_read, "", f"cannot read the CSV after {n_read} lines: {err}") from None
+    except UnicodeDecodeError:
+        # The text layer decodes ahead of the reader, so the bad line is found in the bytes.
+        with open(fh.name, "rb") as raw:
+            for row, line in enumerate(raw.read().splitlines()):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
+        raise
 
 
 def load_csv(path: str, model: ModelSpec) -> Dataset:
@@ -238,7 +247,7 @@ def _fit_to_dict(fit: RegressionFit) -> dict:
     d = {f.name: getattr(fit, f.name) for f in fields(fit)}
     for name, value in d.items():
         if name in _ARRAY_FIELDS:
-            d[name] = [float(v) for v in value]
+            d[name] = np.asarray(value, dtype=float).tolist()
         elif isinstance(value, tuple):
             d[name] = list(value)
     return d
@@ -409,13 +418,52 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
+def _column(values: list) -> list[str] | None:
+    """json.dumps(v) of each v, from one C-encoder pass split at its item separator."""
+    if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
+        return None
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+
+
+def _rows(rows: list, indent: str) -> list[str] | None:
+    """The items of a list of flat dicts that share one set of str keys, else None."""
+    first = rows[0]
+    if not (type(first) is dict and first and all(type(key) is str for key in first)
+            and all(type(row) is dict and row.keys() == first.keys() for row in rows)):
+        return None
+    keys = sorted(first)
+    columns = [_column([row[key] for row in rows]) for key in keys]
+    if None in columns:
+        return None
+    fields_ = ",".join(f"\n{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
+    template = "{" + fields_ + "\n" + indent + "}"
+    return [template % row for row in zip(*columns)]
+
+
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at nesting indent, byte for byte.
+
+    Dicts that hold a list are walked, and lists of scalars or of flat dicts (a report's
+    per-row parts) are written a column at a time. json.dumps writes the rest; its
+    ensure_ascii output holds no raw newline, so it can be re-indented and split.
+    """
+    inner = indent + "  "
+    if (isinstance(value, dict) and any(isinstance(v, list) and v for v in value.values())
+            and all(type(key) is str for key in value)):
+        items = [f"{json.dumps(key)}: {_dumps(v, inner)}" for key, v in sorted(value.items())]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and value and (items := _column(value) or _rows(value, inner)):
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def render_report(report: AnalysisReport, fmt: str, oracle: dict | None = None) -> str:
     """Render a report as markdown, lossless JSON, or machine-joinable TSV."""
     if fmt == "json":
         d = report_to_dict(report)
         if oracle is not None:
             d["oracle"] = oracle
-        return json.dumps(d, sort_keys=True, indent=2)
+        return _dumps(d)
     if fmt == "markdown":
         return _render_markdown(report, oracle)
     if fmt == "tsv":

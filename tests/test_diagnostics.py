@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +18,43 @@ from hibreak import (
     outlier_map,
 )
 from hibreak.core_stats import chi2_quantile
-from hibreak.diagnostics import distance_cutoff
+from hibreak.diagnostics import DiagnosticRecord, distance_cutoff
 from hibreak.errors import LengthMismatch
 
 from conftest import make_dataset
 
 THRESHOLDS = DiagnosticThresholds()
+
+
+def reference_record(standardized_residual, robust_distance, thresholds, p, row_label=""):
+    """The four-way and drop rules one row at a time, as the reference for the array rule."""
+    d_cut = distance_cutoff(thresholds, p)
+    big_residual = abs(standardized_residual) >= thresholds.residual_cutoff
+    big_distance = robust_distance >= d_cut
+    if big_residual and big_distance:
+        label = Classification.BAD_LEVERAGE
+    elif big_residual:
+        label = Classification.VERTICAL_OUTLIER
+    elif big_distance:
+        label = Classification.GOOD_LEVERAGE
+    else:
+        label = Classification.REGULAR
+    drop = bool(
+        label is Classification.BAD_LEVERAGE
+        or (
+            label is Classification.VERTICAL_OUTLIER
+            and abs(standardized_residual) >= thresholds.severe_residual_cutoff
+        )
+    )
+    return DiagnosticRecord(
+        row_label=row_label,
+        standardized_residual=float(standardized_residual),
+        robust_distance=float(robust_distance),
+        residual_cutoff=thresholds.residual_cutoff,
+        distance_cutoff=d_cut,
+        classification=label,
+        drop_recommended=drop,
+    )
 
 
 class TestClassify:
@@ -155,6 +188,27 @@ class TestClassifyAll:
                 row_label=data.row_labels[i],
             )
             assert solo == rec
+            assert solo == reference_record(solo.standardized_residual, solo.robust_distance,
+                                            THRESHOLDS, p=1, row_label=solo.row_label)
+
+        # Boundary and non-finite values, through stand-ins for the two fits.
+        cut = distance_cutoff(THRESHOLDS, 1)
+        residuals = [0.0, 2.5, -2.5, np.nextafter(2.5, 0.0), 4.0, -4.0, np.nextafter(4.0, 0.0),
+                     math.inf, -math.inf, math.nan]
+        distances = [0.0, cut, np.nextafter(cut, 0.0), math.inf, math.nan]
+        pairs = list(itertools.product(residuals, distances))
+        stand_in = make_dataset(np.arange(len(pairs)), np.zeros(len(pairs)))
+        records = classify_all(
+            SimpleNamespace(standardized_residuals=np.array([sr for sr, _ in pairs])),
+            SimpleNamespace(robust_distances=np.array([rd for _, rd in pairs])),
+            stand_in,
+            THRESHOLDS,
+        )
+        for (sr, rd), label, rec in zip(pairs, stand_in.row_labels, records):
+            # repr, so that NaN fields compare equal
+            assert repr(rec) == repr(classify(sr, rd, THRESHOLDS, p=1, row_label=label))
+            assert repr(rec) == repr(reference_record(sr, rd, THRESHOLDS, p=1, row_label=label))
+        assert {rec.classification for rec in records} == set(Classification)
 
     def test_cutoff_quantile_computed_once(self, monkeypatch):
         import hibreak.diagnostics as diagnostics

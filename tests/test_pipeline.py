@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hibreak import errors
 from hibreak.cli import main
 from hibreak.errors import DuplicateLabel, InputError, MissingColumn, NumericalError, ParseError
 from hibreak.ols import RegressionFit, t_and_p
-from hibreak.pipeline import AnalysisConfig, ModelSpec
+from hibreak.pipeline import AnalysisConfig, ModelSpec, report_to_dict
 
 from conftest import make_dataset
 
@@ -114,6 +116,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="field larger than field limit") as err:
             load_csv(path, MODEL_XY)
         assert err.value.row == 3
+
+    @pytest.mark.parametrize(("n", "bad_row"), [(20, 3), (3000, 2500)])
+    def test_non_utf8_names_its_row(self, tmp_path, n, bad_row):
+        # the text layer decodes 8 KB ahead of the reader; the row is the bad line's
+        lines = ["label,y,x1"] + [f"r{i},{2 * i + 1},{i}" for i in range(1, n + 1)]
+        lines[bad_row] = lines[bad_row].replace(f"r{bad_row},", f"caf\xe9{bad_row},")
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), MODEL_XY)
+        assert err.value.row == bad_row
+        assert f"line {bad_row + 1} is not UTF-8" in str(err.value)
 
     def test_repeated_column_name_rejected(self, tmp_path):
         path = write_csv(tmp_path / "cols.csv", "c,y,x1,x1\na,1.0,2.0,3.0\nb,2.0,3.0,4.0\n")
@@ -304,6 +318,106 @@ class TestRenderReport:
             render_report(report, "xml")
 
 
+def naive_json(report, oracle=None):
+    """The reference JSON rendering: json's indenting encoder over the whole report dict."""
+    d = report_to_dict(report)
+    if oracle is not None:
+        d["oracle"] = oracle
+    return json.dumps(d, sort_keys=True, indent=2)
+
+
+def contaminated_instance(seed, n, p):
+    """20% planted rows, half bad leverage and half vertical outliers, as in the benchmark."""
+    rng = np.random.default_rng([seed, n, p])
+    x = rng.standard_normal((n, p))
+    y = 1.0 + x.sum(axis=1) + rng.standard_normal(n)
+    planted = rng.permutation(n)[: n // 5]
+    x[planted[: n // 10]] += 6.0
+    y[planted[: n // 10]] -= 12.0
+    y[planted[n // 10 :]] += 12.0
+    return Dataset.from_xy(x, y, row_labels=tuple(f"r{i}" for i in range(n)))
+
+
+def analysed(data, **config):
+    model = ModelSpec("y", data.predictors, data.has_intercept)
+    return run_analysis(data, AnalysisConfig(model=model, **config))
+
+
+class TestJsonWriter:
+    """render_report's JSON equals json.dumps(report_to_dict(r), sort_keys=True, indent=2)."""
+
+    def test_odd_labels(self):
+        odd = ['q"uote', "back\\slash", "new\nline", "tab\tbell\x07", "caf\u00e9",
+               "\u6f22\u5b57", "smile \U0001f600", "100% %s", "\ud800"]
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 3, size=40)
+        y = 2.0 + 3.0 * x + rng.normal(scale=0.3, size=40)
+        x[:4], y[:4] = 10.0, -20.0
+        labels = tuple(f"{odd[i % len(odd)]}{i}" for i in range(40))
+        report = analysed(Dataset.from_xy(x, y, row_labels=labels))
+        assert report.dropped
+        assert render_report(report, "json") == naive_json(report)
+
+    def test_exact_fit_infinities(self):
+        x = np.arange(10.0)
+        y = x.copy()
+        y[[3, 7]] += [40.0, -25.0]
+        report = analysed(make_dataset(x, y))
+        text = render_report(report, "json")
+        assert text == naive_json(report)
+        assert np.isinf(report.robust_fit.t_values).all()
+        assert '"sr": Infinity' in text and '"sr": -Infinity' in text
+
+    def test_nothing_dropped(self):
+        report = analysed(clean_instance())
+        assert report.dropped == []
+        assert render_report(report, "json") == naive_json(report)
+
+    def test_oracle_section(self):
+        from hibreak.cli import _oracle_section
+
+        data = bad_leverage_instance().subset(np.arange(14))
+        config = AnalysisConfig(model=MODEL_XY)
+        report = run_analysis(data, config)
+        oracle = _oracle_section(data, config, report)
+        assert render_report(report, "json", oracle=oracle) == naive_json(report, oracle)
+
+    def test_no_intercept(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(1, 4, size=30)
+        report = analysed(make_dataset(x, 3.0 * x + rng.normal(size=30), has_intercept=False))
+        assert render_report(report, "json") == naive_json(report)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    def test_large_contaminated(self, seed, n):
+        report = analysed(contaminated_instance(seed, n, 4), lts=LtsConfig(seed=seed),
+                          mcd=McdConfig(seed=seed))
+        assert render_report(report, "json") == naive_json(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [1.0, math.nan, -math.inf, math.inf, -0.0, 0.0, 1e300, 5, True, None, "x"]},
+            [-0.0, -0.0], [0.0, 0.0], [0.0, -0.0, 0.0],
+            [2.5, 2.5, 2.5], [2.5, 2.5, 2.5000000000000004],
+            [1.0, 1, True], [math.nan] * 3, [float("nan"), float("nan")],
+            ["a\nb", "c", "\u00e9"], [[], {}, [[]], [{}]], ({"x": (1, 2)}, ()),
+            [(1, 2), (3, 4)], [{"x": (1, 2)}, {"x": (3,)}],
+            [{"b": 1, "a": [1]}, {"a": 2, "b": 3}],
+            [{"a": 1}, {"b": 1}], [{"a": 1, "b": 2}, {"a": 1}], [{"a": 1}, {"a": 1, "b": 2}],
+            [{"%s": 1.5, 'k"': -0.0, "z": "%d"}, {"%s": 2.5, 'k"': 0.0, "z": None}],
+            [{"a": 1}, OrderedDict(a=2)], [OrderedDict(a=2), {"a": 1}], [{"a": 1}, 2],
+            {1: ["int key"], 2.5: ["float key"]}, [{1: "a"}, {1: "b"}], {"": {"": []}},
+            "text", 3, None, [], {},
+        ],
+    )
+    def test_writer_on_odd_values(self, value):
+        from hibreak.pipeline import _dumps
+
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 def dataset_to_csv(data: Dataset, path):
     lines = ["label," + ",".join(data.column_names)]
     for i, label in enumerate(data.row_labels):
@@ -432,9 +546,10 @@ class TestCli:
             ("repeated_column", 2, "hibreak: input error:"),
             ("negative_seed", 4, "hibreak: bad flag value:"),
             ("nan_cutoff", 4, "hibreak: bad flag value:"),
+            ("overflowing_cell", 3, "hibreak: numerical failure: stage 'ols':"),
         ],
     )
-    def test_error_exits_without_traceback(self, tmp_path, capsys, case, code, prefix):
+    def test_error_exits_without_traceback(self, tmp_path, capsys, recwarn, case, code, prefix):
         body = "".join(f"r{i},{i % 3 + 0.5 * i},{i}\n" for i in range(12))
         good = "c,y,x1\n" + body
         path = tmp_path / "data.csv"
@@ -450,6 +565,8 @@ class TestCli:
             path.write_text(good + "big,1.0," + "1" * 200_000 + "\n", encoding="utf-8")
         elif case == "repeated_column":
             path.write_text("c,y,x1,x1\n" + body.replace("\n", ",1\n"), encoding="utf-8")
+        elif case == "overflowing_cell":  # finite, but its square is not
+            path.write_text(good + "huge,1e200,12\n", encoding="utf-8")
         elif case == "negative_seed":
             flags = ["--seed", "-1"]
         else:
@@ -459,6 +576,7 @@ class TestCli:
         assert out == ""
         assert err.startswith(prefix)
         assert "Traceback" not in err
+        assert not recwarn.list
 
     def test_every_error_type_has_one_exit_code(self):
         # InputError exits 2 and NumericalError 3; plain ValueErrors are API misuse
