@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AllStartsDegenerate, NotPositiveDefinite
+from .errors import AllStartsDegenerate
 
 # Subset optima repeat bitwise at a fixed point, so a trial has converged
 # when a step changes its objective by <= this relative amount.
@@ -53,15 +53,15 @@ class Model:
     fit(terms summed over each trial's rows, row count) returns (params,
     objectives, ok): a tuple of arrays with a leading trial axis, and the
     (T,) objectives and non-degenerate mask. score(params) gives the (T, n)
-    scores a C-step ranks rows by. refit(rows) is the scalar path of the
-    reported estimate: (objective, estimate) for one subset, or
-    NotPositiveDefinite.
+    scores a C-step ranks rows by. refit is the estimator's exact subset
+    evaluator (lts.evaluate_subsets or mcd.evaluate_subsets, which its
+    oracle and public C-step use too); the winner's estimate comes from it.
     """
 
     terms: np.ndarray
     fit: Callable[[np.ndarray, int], tuple[tuple, np.ndarray, np.ndarray]]
     score: Callable[[tuple], np.ndarray]
-    refit: Callable[[np.ndarray], tuple[float, Any]]
+    refit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[[int], Any]]]
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,10 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
     best = None
     for trial, converged, mask in finished:
         rows = np.flatnonzero(mask)
-        try:
-            objective, estimate = model.refit(rows)
-        except NotPositiveDefinite:
-            continue
-        if best is None or (objective, trial) < (best.objective, best_trial):
-            best, best_trial = Search(objective, estimate, rows, bool(converged), n_csteps), trial
+        kept, objective, fit = model.refit(rows[None])
+        if kept.size and (best is None or (objective[0], trial) < (best.objective, best_trial)):
+            best = Search(float(objective[0]), fit(0), rows, bool(converged), n_csteps)
+            best_trial = trial
     if best is None:
         raise AllStartsDegenerate("every start or refined trial turned degenerate")
     return best

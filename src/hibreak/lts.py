@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import Model, concentrate, lowest_rows, run_search
-from .core_stats import cho_apply, cholesky_spd, gaussian_quantile, spd_factor
+from .core_stats import cho_apply, gaussian_quantile, spd_factor
+from .errors import NotPositiveDefinite
 from .ols import Dataset
 
 # A fit whose robust scale is at most this fraction of max |y| over the
@@ -88,21 +89,32 @@ def consistency_factor(h: int, n: int) -> float:
 
 
 def _squared_residuals(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    r = y - x @ beta
+    # for one beta, x @ beta[..., None] is the same BLAS product as x @ beta
+    r = y - (x @ beta[..., None])[..., 0]
     return r * r
 
 
-def _objective(r2: np.ndarray, h: int) -> float:
-    """Sum of the h smallest squared residuals, accumulated in sorted order."""
-    return float(np.sort(r2)[:h].sum())
+def _objective(r2: np.ndarray, h: int) -> np.ndarray:
+    """Sum of the h smallest squared residuals (of each row of r2), accumulated in sorted order."""
+    return np.sort(r2)[..., :h].sum(axis=-1)
 
 
-def _subset_fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray, h: int) -> tuple[float, np.ndarray]:
-    """(objective, coefficients) of OLS on the given rows; NotPositiveDefinite if collinear."""
-    xs = x[rows]
-    low = cholesky_spd(xs.T @ xs)
-    beta = cho_apply(low, xs.T @ y[rows])
-    return _objective(_squared_residuals(x, y, beta), h), beta
+def evaluate_subsets(x: np.ndarray, y: np.ndarray, subsets: np.ndarray, h: int):
+    """(kept, objectives, fit) of OLS on each row subset of a (T, m) stack.
+
+    kept indexes, in stack order, the subsets whose normal equations pass
+    the pivot test; objectives are their sums of the h smallest squared
+    residuals over all rows; fit(j) gives the coefficients of subset
+    kept[j]. The oracle, the search's refit and c_step all use this.
+    """
+    xs = x[subsets]
+    xt = xs.swapaxes(1, 2)
+    low, ok = spd_factor(xt @ xs)
+    rhs = (xt @ y[subsets][..., None])[..., 0]
+    kept = np.flatnonzero(ok)
+    # one dpotrs per subset, as for a single system: no batched solve has its bits
+    beta = np.array([cho_apply(low[t], rhs[t]) for t in kept]).reshape(-1, x.shape[1])
+    return kept, _objective(_squared_residuals(x, y, beta), h), lambda j: beta[j].copy()
 
 
 def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
@@ -118,7 +130,7 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
         return (beta, r2), np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1), ok
 
     return Model(terms=terms, fit=fit, score=lambda params: params[1],
-                 refit=lambda rows: _subset_fit(x, y, rows, h))
+                 refit=lambda subsets: evaluate_subsets(x, y, subsets, h))
 
 
 def lts_objective(data: Dataset, beta: np.ndarray, h: int) -> float:
@@ -126,7 +138,7 @@ def lts_objective(data: Dataset, beta: np.ndarray, h: int) -> float:
     if not 1 <= h <= data.n:
         raise ValueError(f"h must lie in [1, {data.n}], got {h}")
     r2 = _squared_residuals(data.design_matrix(), data.response_vector(), np.asarray(beta, float))
-    return _objective(r2, h)
+    return float(_objective(r2, h))
 
 
 def c_step(
@@ -138,12 +150,17 @@ def c_step(
     (ties toward the lowest index), refits OLS on exactly those rows, and
     returns (new_beta, new_objective, selected_rows). The new objective
     never exceeds lts_objective(data, beta, h); NotPositiveDefinite means
-    the selected rows are collinear and the trial should be discarded.
+    the selected rows are collinear and the trial should be discarded;
+    ValueError means h lies outside [1, n].
     """
+    if not 1 <= h <= data.n:
+        raise ValueError(f"h must lie in [1, {data.n}], got {h}")
     x, y = data.design_matrix(), data.response_vector()
     subset = lowest_rows(_squared_residuals(x, y, np.asarray(beta, float)), h)
-    objective, new_beta = _subset_fit(x, y, subset, h)
-    return new_beta, objective, subset
+    kept, objective, fit = evaluate_subsets(x, y, subset[None], h)
+    if not kept.size:
+        raise NotPositiveDefinite("the selected rows are collinear")
+    return fit(0), float(objective[0]), subset
 
 
 def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:

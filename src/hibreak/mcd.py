@@ -17,15 +17,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .concentration import Model, lowest_rows, run_search
-from .core_stats import (
-    chi2_cdf,
-    chi2_quantile,
-    cholesky_spd,
-    factor_determinant,
-    mean_and_cov,
-    spd_factor,
-)
-from .errors import ConstantColumn, TooFewRows
+from .core_stats import chi2_cdf, chi2_quantile, cholesky_spd, factor_determinant, spd_factor
+from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
 @dataclass(frozen=True)
@@ -86,13 +79,26 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.nd
     return np.sum(z * z, axis=0)
 
 
-def _subset_moments(x: np.ndarray, rows: np.ndarray):
-    """(covariance determinant, (mean, covariance)) of the given rows.
+def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
+    """(kept, determinants, fit) of the classical moments of each subset of a (T, m) stack.
 
-    NotPositiveDefinite when the rows lie in a lower-dimensional affine subspace.
+    As lts.evaluate_subsets, for the covariance (denominator m - 1): kept
+    drops subsets whose rows lie in a lower-dimensional affine subspace,
+    and fit(j) is the (mean, covariance) of subset kept[j].
     """
-    center, cov = mean_and_cov(x[rows])
-    return float(factor_determinant(cholesky_spd(cov))), (center, cov)
+    m = subsets.shape[1]
+    xs = x[subsets]
+    center = xs.sum(axis=1) / m
+    centered = xs - center[:, None, :]
+    scatter = centered.swapaxes(1, 2) @ centered / (m - 1)
+    cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
+    low, ok = spd_factor(cov)
+    kept = np.flatnonzero(ok)
+    # Squared as Python floats (C pow), as factor_determinant squares one
+    # matrix; an array's ** 2 multiplies and can move the last bit.
+    products = low[kept].diagonal(0, 1, 2).prod(axis=1).tolist()
+    objectives = np.array([v**2 for v in products])
+    return kept, objectives, lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
 
 
 def _search_model(x: np.ndarray, h: int) -> Model:
@@ -120,7 +126,8 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         quadratic = precision.reshape(len(mean), p * p) @ squares.T
         return quadratic - 2.0 * (pm @ xc.T) + np.sum(mean * pm, axis=1)[:, None]
 
-    return Model(terms=terms, fit=fit, score=score, refit=lambda rows: _subset_moments(x, rows))
+    return Model(terms=terms, fit=fit, score=score,
+                 refit=lambda subsets: evaluate_subsets(x, subsets))
 
 
 def mcd_c_step(
@@ -133,13 +140,18 @@ def mcd_c_step(
     subset, and the covariance determinant; starting from the moments of
     any h-row subset the determinant never increases. NotPositiveDefinite
     means the input scatter or the selection is singular, and the trial
-    should be discarded.
+    should be discarded; ValueError means h lies outside [p+1, n].
     """
     x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    if not p + 1 <= h <= n:
+        raise ValueError(f"h must lie in [{p + 1}, {n}], got {h}")
     low = cholesky_spd(np.asarray(scatter, dtype=float))
     subset = lowest_rows(_mahalanobis_sq(x, np.asarray(center, float), low), h)
-    det, (new_center, new_cov) = _subset_moments(x, subset)
-    return new_center, new_cov, subset, det
+    kept, det, fit = evaluate_subsets(x, subset[None])
+    if not kept.size:
+        raise NotPositiveDefinite("the selected rows are singular")
+    return *fit(0), subset, float(det[0])
 
 
 def _validate(x: np.ndarray) -> np.ndarray:

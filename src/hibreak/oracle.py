@@ -3,13 +3,14 @@
 Evaluates every h-row subset, so it is only feasible for small inputs; the
 randomized estimators can never beat these values, which makes this module
 the ground truth for their tests. What stays naive: every h-subset is
-evaluated, in lexicographic order, and the first minimum wins; each subset
-gets the same arithmetic as the scalar refit path of fit_lts and fit_mcd
-(one OLS or moment fit and one LAPACK Cholesky with the shared pivot
-test), so its objective is bit-identical to that path's; nothing is pruned
-and no tolerance is applied. Only the bookkeeping is batched: consecutive
-subsets are evaluated together as stacked arrays, in chunks whose memory
-is bounded by concentration._BLOCK_ELEMENTS.
+evaluated, in lexicographic order, and the first minimum wins; nothing is
+pruned and no tolerance is applied. The arithmetic is the estimator's own
+subset evaluator (lts.evaluate_subsets, mcd.evaluate_subsets), the one
+that also ranks the searches' refined trials and serves the public
+C-steps, so the oracle and the search compute the same bits for the same
+rows. Only the bookkeeping is batched: consecutive subsets are evaluated
+together as stacked arrays, in chunks whose memory is bounded by
+concentration._BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import concentration
-from .core_stats import cho_apply, spd_factor
+from . import concentration, lts, mcd
 from .errors import AllStartsDegenerate, TooLarge
 from .ols import Dataset
 
@@ -60,9 +60,8 @@ def _chunks(n: int, h: int, width: int):
 def _enumerate(n: int, h: int, width: int, evaluate, degenerate: str) -> OracleResult:
     """Lowest objective over every h-subset in lexicographic order; the first minimum wins.
 
-    evaluate(subsets) takes a (T, h) chunk and returns (kept, objectives,
-    fit): the indices of its non-degenerate subsets in chunk order, their
-    objectives, and fit(j), the fit of subset kept[j].
+    evaluate(subsets) is the estimator's subset evaluator on a (T, h) chunk:
+    (kept, objectives, fit), as lts.evaluate_subsets returns them.
     """
     if h > n:
         raise ValueError(f"h={h} exceeds n={n}")
@@ -101,20 +100,8 @@ def exact_lts(data: Dataset, h: int) -> OracleResult:
     n, k = x.shape
     if h < k + 1:
         raise ValueError(f"h={h} is below k+1={k + 1}")
-
-    def evaluate(subsets):
-        xs = x[subsets]
-        xt = xs.swapaxes(1, 2)
-        low, ok = spd_factor(xt @ xs)
-        rhs = (xt @ y[subsets][..., None])[..., 0]
-        kept = np.flatnonzero(ok)
-        # dpotrs one subset at a time: no batched solve reproduces its bits
-        beta = np.array([cho_apply(low[t], rhs[t]) for t in kept]).reshape(-1, k)
-        # x @ beta[..., None], not beta @ x.T, is the scalar path's product
-        r = y - (x @ beta[..., None])[..., 0]
-        return kept, np.sort(r * r, axis=1)[:, :h].sum(axis=1), lambda j: beta[j].copy()
-
-    return _enumerate(n, h, k, evaluate, "rank deficient")
+    return _enumerate(n, h, k, lambda subsets: lts.evaluate_subsets(x, y, subsets, h),
+                      "rank deficient")
 
 
 def exact_mcd(x: np.ndarray, h: int) -> OracleResult:
@@ -128,20 +115,4 @@ def exact_mcd(x: np.ndarray, h: int) -> OracleResult:
     n, p = x.shape
     if h < p + 1:
         raise ValueError(f"h={h} is below p+1={p + 1}")
-
-    def evaluate(subsets):
-        xs = x[subsets]
-        center = xs.sum(axis=1) / h
-        centered = xs - center[:, None, :]
-        scatter = centered.swapaxes(1, 2) @ centered / (h - 1)
-        cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
-        low, ok = spd_factor(cov)
-        kept = np.flatnonzero(ok)
-        # A Python float's ** 2 goes through C pow, as factor_determinant's
-        # numpy scalar does; an array's ** 2 multiplies, which can differ in
-        # the last bit.
-        products = low[kept].diagonal(0, 1, 2).prod(axis=1).tolist()
-        objectives = np.array([v**2 for v in products])
-        return kept, objectives, lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
-
-    return _enumerate(n, h, p, evaluate, "degenerate")
+    return _enumerate(n, h, p, lambda subsets: mcd.evaluate_subsets(x, subsets), "degenerate")

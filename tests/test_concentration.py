@@ -8,7 +8,7 @@ import pytest
 from hibreak import LtsConfig, McdConfig, c_step, fit_lts, fit_mcd, lts_objective, mcd_c_step
 from hibreak import concentration, lts, mcd
 from hibreak.core_stats import chi2_quantile, mean_and_cov, spd_factor
-from hibreak.errors import RankDeficientSubset, SingularSubset
+from hibreak.errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
 
 from conftest import make_dataset, random_points, random_regression
 
@@ -164,6 +164,34 @@ class TestPublicStepsAgreeWithDriver:
             np.testing.assert_allclose(det[0], public_det, rtol=1e-9)
             # from the moments of an h-row subset the determinant never rises
             assert mcd_c_step(x, new_center, new_cov, h)[3] <= public_det
+
+
+class TestWinnerPick:
+    def test_skips_trials_whose_refit_is_degenerate(self, rng):
+        # rows 0-19 lie near y = x, rows 20-39 near y = 30 - x; one start on each line
+        x = rng.uniform(0.0, 10.0, size=40)
+        noise = np.where(np.arange(40) < 20, 0.1, 1.0) * rng.normal(size=40)
+        y = np.where(np.arange(40) < 20, x, 30.0 - x) + noise
+        data = make_dataset(x, y)
+        model = lts._search_model(data.design_matrix(), data.response_vector(), 20)
+        starts, config = np.array([[0, 5, 10], [20, 25, 30]]), LtsConfig(n_best_kept=2)
+
+        def search(degenerate):
+            """The search with an evaluator that keeps no subset of the given rows."""
+            def refit(subsets):
+                kept, objectives, fit = model.refit(subsets)
+                if np.array_equal(subsets[0], degenerate):
+                    return kept[:0], objectives[:0], fit
+                return kept, objectives, fit
+            return concentration.concentrate(replace(model, refit=refit), starts, 20, config)
+
+        best, runner_up = search(None), search(np.arange(20))
+        np.testing.assert_array_equal(best.rows, np.arange(20))
+        np.testing.assert_array_equal(runner_up.rows, np.arange(20, 40))
+        assert runner_up.objective > best.objective
+        nothing_kept = replace(model, refit=lambda subsets: (np.arange(0), np.zeros(0), None))
+        with pytest.raises(AllStartsDegenerate):
+            concentration.concentrate(nothing_kept, starts, 20, config)
 
 
 def full_search_lts(data, config):

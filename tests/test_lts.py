@@ -95,6 +95,13 @@ class TestCStep:
         with pytest.raises(RankDeficientSubset):
             c_step(data, np.array([0.0, 0.0]), 4)
 
+    @pytest.mark.parametrize("h", [-1, 0, 21])
+    def test_h_out_of_range(self, rng, h):
+        # h = -1 used to partition at kth = -2 and return an 18-row step
+        data = random_regression(rng, 20, 3)
+        with pytest.raises(ValueError, match=r"h must lie in \[1, 20\]"):
+            c_step(data, np.zeros(3), h)
+
 
 class TestFitLts:
     def test_no_trimming_equals_ols(self, rng):

@@ -60,6 +60,13 @@ class TestMcdCStep:
         with pytest.raises(SingularSubset):
             mcd_c_step(x, np.zeros(2), np.zeros((2, 2)), 8)
 
+    @pytest.mark.parametrize("h", [-1, 0, 2, 21])
+    def test_h_out_of_range(self, rng, h):
+        # h = p leaves a singular covariance; h = -1 used to return an 18-row step
+        x = rng.normal(size=(20, 2))
+        with pytest.raises(ValueError, match=r"h must lie in \[3, 20\]"):
+            mcd_c_step(x, np.zeros(2), np.eye(2), h)
+
 
 class TestFitMcd:
     def test_matches_oracle_small_instances(self, rng):

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from hibreak import OracleResult, concentration, exact_lts, exact_mcd, fit_ols
+from hibreak import OracleResult, concentration, exact_lts, exact_mcd, fit_ols, lts, mcd
 from hibreak.core_stats import cho_apply, cholesky_spd, factor_determinant, mean_and_cov
 from hibreak.errors import AllSubsetsDegenerate, NotPositiveDefinite, TooLarge
+from hibreak.lts import trimmed_size
+from hibreak.mcd import subset_size
 
 from conftest import make_dataset, random_points, random_regression
 
@@ -255,3 +257,40 @@ class TestChunkedMatchesLoop:
             assert_lts_matches_reference(shifted, h)
         for n, p, h in [(10, 1, 7), (11, 2, 8), (10, 3, 7)]:
             assert_mcd_matches_reference(random_points(rng, n, p, outliers=2) + 1e5, h)
+
+
+def flat(estimate):
+    """Coefficients, or a (center, covariance) pair, as one flat array."""
+    return np.concatenate([np.ravel(part) for part in estimate])
+
+
+def assert_evaluator_matches(evaluate, subsets, reference):
+    """evaluate, on a (T, h) stack and on each subset alone, equals reference bit for bit."""
+    expected = [reference(rows) for rows in subsets]
+    stacked = evaluate(subsets)
+    alone = [evaluate(rows[None]) for rows in subsets]
+    assert stacked[0].tolist() == list(range(len(subsets)))
+    assert all(kept.tolist() == [0] for kept, _, _ in alone)
+    results = [(stacked[1][t], stacked[2](t)) for t in range(len(subsets))]
+    results += [(objectives[0], fit(0)) for _, objectives, fit in alone]
+    for (objective, estimate), (want, want_estimate) in zip(results, 2 * expected):
+        assert objective == want
+        assert np.array_equal(flat(estimate), flat(want_estimate))
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_evaluators_match_reference_at_refit_sizes(n):
+    # the evaluators also rank the searches' refined trials, whose subsets
+    # hold most of the n rows
+    rng = np.random.default_rng(n)
+    data = random_regression(rng, n, 5, outlier_fraction=0.2)
+    x, y = data.design_matrix(), data.response_vector()
+    h = trimmed_size(n, 5, 0.25)
+    subsets = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(10)])
+    assert_evaluator_matches(lambda s: lts.evaluate_subsets(x, y, s, h), subsets,
+                             lambda rows: lts_subset(x, y, rows, h))
+    points = random_points(rng, n, 4, outliers=n // 5)
+    h = subset_size(n, 0.75)
+    subsets = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(10)])
+    assert_evaluator_matches(lambda s: mcd.evaluate_subsets(points, s), subsets,
+                             lambda rows: mcd_subset(points, rows))
