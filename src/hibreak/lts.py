@@ -112,8 +112,7 @@ def evaluate_subsets(x: np.ndarray, y: np.ndarray, subsets: np.ndarray, h: int):
     low, ok = spd_factor(xt @ xs)
     rhs = (xt @ y[subsets][..., None])[..., 0]
     kept = np.flatnonzero(ok)
-    # one dpotrs per subset, as for a single system: no batched solve has its bits
-    beta = np.array([cho_apply(low[t], rhs[t]) for t in kept]).reshape(-1, x.shape[1])
+    beta = cho_apply(low[kept], rhs[kept])  # elementwise: each subset's bits as if alone
     return kept, _objective(_squared_residuals(x, y, beta), h), lambda j: beta[j].copy()
 
 

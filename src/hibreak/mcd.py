@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .concentration import Model, lowest_rows, run_search
 from .core_stats import chi2_cdf, chi2_quantile, cholesky_spd, factor_determinant, spd_factor
+from .core_stats import substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
@@ -75,7 +75,7 @@ def scatter_consistency_factor(h: int, n: int, p: int) -> float:
 
 def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances given the scatter's lower Cholesky factor."""
-    z = solve_triangular(low, (x - center).T, lower=True)
+    z = substitute(low, (x - center).T)
     return np.sum(z * z, axis=0)
 
 

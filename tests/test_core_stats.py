@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import cho_solve
+from scipy.special import chdtr, chdtri, gammaincinv, stdtr
 
 from hibreak import (
     chi2_cdf,
@@ -19,7 +20,7 @@ from hibreak import (
     solve_spd,
     student_t_cdf,
 )
-from hibreak.core_stats import cho_apply, cholesky_spd, spd_factor
+from hibreak.core_stats import cho_apply, cholesky_spd, spd_factor, substitute
 from hibreak.errors import DomainError, NotPositiveDefinite
 
 from conftest import random_regression
@@ -122,6 +123,22 @@ def random_spd(rng, k):
     return m.T @ m
 
 
+def scalar_cho_solve(low, b):
+    """(L L') x = b on Python floats: forward, then back substitution, each
+    unknown the remaining right-hand side times its pivot's reciprocal."""
+    k = len(b)
+    x = list(b)
+    for j in range(k):
+        x[j] *= 1.0 / low[j][j]
+        for i in range(j + 1, k):
+            x[i] -= low[i][j] * x[j]
+    for j in reversed(range(k)):
+        x[j] *= 1.0 / low[j][j]
+        for i in range(j):
+            x[i] -= low[j][i] * x[j]
+    return x
+
+
 class TestScalarCholesky:
     def test_bit_equal_to_batched_factor(self):
         rng = np.random.default_rng(17)
@@ -144,14 +161,27 @@ class TestScalarCholesky:
             cholesky_spd(a)
 
     @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["1d", "2d"])
-    def test_solve_bit_equal_to_cho_solve(self, shape):
+    def test_solve_bit_equal_to_scalar_substitution(self, shape):
         rng = np.random.default_rng(23)
         for _ in range(10):
             low = cholesky_spd(random_spd(rng, 4))
             b = rng.normal(size=shape)
             x = cho_apply(low, b)
             assert x.shape == shape
-            np.testing.assert_array_equal(x, cho_solve((low, True), b))
+            columns = b.reshape(4, -1).T.tolist()
+            expected = [scalar_cho_solve(low.tolist(), column) for column in columns]
+            np.testing.assert_array_equal(x, np.array(expected).T.reshape(shape))
+            np.testing.assert_allclose(x, cho_solve((low, True), b), rtol=1e-13)
+
+    def test_stacked_substitution_bit_equal_to_each_factor(self):
+        rng = np.random.default_rng(31)
+        low = np.array([cholesky_spd(random_spd(rng, 5)) for _ in range(12)])
+        vectors, matrices = rng.normal(size=(12, 5)), rng.normal(size=(12, 5, 3))
+        for b in (vectors, matrices):
+            for back in (False, True):
+                stacked = substitute(low, b, back)
+                for t in range(12):
+                    np.testing.assert_array_equal(stacked[t], substitute(low[t], b[t], back))
 
     def test_exact_lts_objective_matches_lts_objective(self):
         rng = np.random.default_rng(29)
@@ -197,6 +227,42 @@ class TestStudentTCdf:
         with pytest.raises(DomainError):
             student_t_cdf(1.0, 0)
 
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_closed_forms(self, df):
+        def exact(t):  # lower tails without cancellation: atan(1/|t|)/pi, 1/(s (s + |t|))
+            if df == 1:
+                return math.atan(-1.0 / t) / math.pi if t < 0 else 0.5 + math.atan(t) / math.pi
+            s = math.sqrt(2.0 + t * t)
+            return 1.0 / (s * (s - t)) if t < 0 else 0.5 + t / (2.0 * s)
+
+        for magnitude in np.geomspace(1e-8, 1e3, 89):
+            for t in (-magnitude, magnitude):
+                assert student_t_cdf(t, df) == pytest.approx(exact(t), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("df", [1, 3, 7, 30, 100, 1000])
+    def test_against_stdtr(self, df):
+        for magnitude in np.geomspace(1e-3, 1e3, 49):
+            for t in (-magnitude, magnitude):
+                # stdtr underflows to 0 in the far tail at df = 1000
+                np.testing.assert_allclose(student_t_cdf(t, df), stdtr(df, t), rtol=1e-10,
+                                           atol=np.finfo(float).tiny)
+
+    def test_lower_tail_near_the_center_at_large_df(self):
+        # 0.04 to 0.16 here; as 1/2 - I_y(1/2, df/2) / 2 the value would lose
+        # about one digit to cancellation
+        for t in np.linspace(-1.75, -1.0, 31):
+            assert student_t_cdf(t, 2000) == pytest.approx(stdtr(2000, t), rel=3e-12, abs=0)
+
+    def test_edges(self):
+        assert student_t_cdf(-math.inf, 3) == 0.0
+        assert student_t_cdf(math.inf, 3) == 1.0
+        assert math.isnan(student_t_cdf(math.nan, 3))
+        assert student_t_cdf(-1e-200, 3) == 0.5
+        # 1 / (pi |t|) for df = 1, also where t * t overflows
+        assert student_t_cdf(-1e200, 1) == pytest.approx(1.0 / (math.pi * 1e200), rel=1e-13, abs=0)
+        assert student_t_cdf(1e200, 1) == 1.0
+        assert student_t_cdf(-1e3, 1000) == 0.0
+
 
 # ---------------------------------------------------------------------------
 # chi-square quantile / CDF
@@ -220,6 +286,54 @@ class TestChi2:
     def test_strictly_increasing(self):
         qs = [chi2_quantile(p, 3) for p in np.linspace(0.01, 0.99, 25)]
         assert all(a < b for a, b in zip(qs, qs[1:]))
+
+    def test_cdf_against_chdtr(self):
+        for df in range(1, 31):
+            for x in np.geomspace(1e-6, 200.0, 41):
+                assert chi2_cdf(x, df) == pytest.approx(chdtr(df, x), rel=1e-12, abs=0)
+
+    def test_cdf_edges(self):
+        assert chi2_cdf(math.inf, 3) == 1.0
+        assert math.isnan(chi2_cdf(math.nan, 3))
+        assert chi2_cdf(0.0, 3) == 0.0
+        assert chi2_cdf(-math.inf, 3) == 0.0
+        assert chi2_cdf(1e300, 1000) == 1.0
+        # P(1/2, z) = erf(sqrt(z)) ~ 2 sqrt(z / pi), also where x / 2 underflows
+        expected = math.sqrt(2.0 / math.pi) * math.sqrt(5e-324)
+        assert chi2_cdf(5e-324, 1) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100, 1000])
+    def test_quantile_both_tails(self, df):
+        # gammaincinv inverts the lower tail; for p >= 1/2, 1 - p is exact and
+        # chdtri inverts the upper tail. Below the smallest normal float the
+        # quantile is only required to underflow alike.
+        tiny = np.finfo(float).tiny
+        lower = np.geomspace(1e-300, 0.5, 121, endpoint=False)
+        upper = 1.0 - np.geomspace(0.5, 2.0**-53, 54)
+        for p in lower:
+            ref = 2.0 * gammaincinv(df / 2.0, p)
+            np.testing.assert_allclose(chi2_quantile(p, df), ref, rtol=1e-12, atol=tiny)
+            if df == 2:
+                assert chi2_quantile(p, df) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-12, abs=0)
+        for p in upper:
+            ref = chdtri(df, 1.0 - p)
+            np.testing.assert_allclose(chi2_quantile(p, df), ref, rtol=1e-12)
+            if df == 2:
+                assert chi2_quantile(p, df) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 1000])
+    def test_strictly_increasing_into_both_tails(self, df):
+        # for df = 1 the quantile, about p^2 pi / 2, underflows below p = 1e-154
+        smallest = 1e-150 if df == 1 else 1e-300
+        upper = 1.0 - np.geomspace(0.49, 2.0**-53, 100)
+        grid = np.unique(np.concatenate([np.geomspace(smallest, 0.5, 200), upper]))
+        qs = [chi2_quantile(p, df) for p in grid]
+        assert all(0.0 < a < b for a, b in zip(qs, qs[1:]))
+
+    def test_quantile_tiny_p(self):
+        # the exact lower tail for df = 1 is (pi / 2) p^2 (1 + O(p^2))
+        for p in (1e-17, 1e-12):
+            assert chi2_quantile(p, 1) == pytest.approx(math.pi / 2.0 * p * p, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
