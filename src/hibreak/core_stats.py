@@ -75,16 +75,12 @@ def substitute(low: np.ndarray, b: np.ndarray, back: bool = False) -> np.ndarray
     With back, also solve low.T @ x = z, so that (low @ low.T) x = b. b is
     a vector or a matrix per factor. Column by column, each unknown is the
     remaining right-hand side times the pivot's reciprocal, as BLAS trsm
-    kernels do. All steps are elementwise, and a single system takes the
-    same steps on Python floats, so a factor in a stack gets the bits it
-    gets alone.
+    kernels do. All steps are elementwise, so a factor in a stack gets the
+    bits it gets alone.
     """
     low = np.asarray(low, dtype=float)
     b = np.asarray(b, dtype=float)
     k = low.shape[-1]
-    if low.size == k * k and b.size == k:  # one system: Python floats skip numpy's per-call cost
-        x = _substitute_floats(low.reshape(k, k).tolist(), b.ravel().tolist(), back)
-        return np.array(x).reshape(b.shape)
     vector = b.ndim == low.ndim - 1
     # Rows go first, so that each step takes plain views: x is (K, ..., M)
     # and factor[i, j] is low[..., i, j] with a trailing axis for M.
@@ -103,20 +99,6 @@ def substitute(low: np.ndarray, b: np.ndarray, back: bool = False) -> np.ndarray
         rest -= factor[j, :j] * row  # column j of low.T is row j of low
     x = np.ascontiguousarray(x.transpose(*range(1, n - 1), 0, n - 1))
     return x[..., 0] if vector else x
-
-
-def _substitute_floats(low: list, x: list, back: bool) -> list:
-    """substitute for one vector, in place on Python floats, operation for operation."""
-    k = len(x)
-    for j in range(k):
-        x[j] *= 1.0 / low[j][j]
-        for i in range(j + 1, k):
-            x[i] -= low[i][j] * x[j]
-    for j in reversed(range(k)) if back else ():
-        x[j] *= 1.0 / low[j][j]
-        for i in range(j):
-            x[i] -= low[j][i] * x[j]
-    return x
 
 
 def cho_apply(low: np.ndarray, b: np.ndarray) -> np.ndarray:
