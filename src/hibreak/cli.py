@@ -13,8 +13,8 @@ from .diagnostics import DiagnosticThresholds, outlier_map
 from .errors import InputError, NumericalError
 # The CLI no longer calls fit_lts or fit_mcd itself; both names stay in this
 # module's namespace because perfbench/tracing.py wraps them here.
-from .lts import LtsConfig, fit_lts, trimmed_size  # noqa: F401
-from .mcd import McdConfig, fit_mcd, subset_size  # noqa: F401
+from .lts import LtsConfig, fit_lts  # noqa: F401
+from .mcd import McdConfig, fit_mcd  # noqa: F401
 from .oracle import exact_lts, exact_mcd
 from .pipeline import AnalysisConfig, ModelSpec, load_csv, render_report, run_analysis
 
@@ -59,10 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _oracle_section(data, config, report) -> dict:
     """The report's own LTS and MCD objectives against exhaustive enumeration."""
-    h_lts = trimmed_size(data.n, data.k, config.lts.alpha)
-    h_mcd = subset_size(data.n, config.mcd.h_fraction)
-    lts_exact = exact_lts(data, h_lts)
-    mcd_exact = exact_mcd(data.predictor_matrix(), h_mcd)
+    lts_exact = exact_lts(data, report.lts_fit.h)
+    mcd_exact = exact_mcd(data.predictor_matrix(), report.mcd_estimate.h)
 
     def block(heuristic, exact):
         gap = abs(heuristic - exact) / max(abs(exact), 1e-300)

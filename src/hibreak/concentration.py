@@ -55,7 +55,8 @@ class Model:
     (T,) objectives and non-degenerate mask. score(params) gives the (T, n)
     scores a C-step ranks rows by. refit is the estimator's exact subset
     evaluator (lts.evaluate_subsets or mcd.evaluate_subsets, which its
-    oracle and public C-step use too); the winner's estimate comes from it.
+    oracle and public C-step use too); one call on the stacked rows of the
+    refined trials ranks them and gives the winner's estimate.
     """
 
     terms: np.ndarray
@@ -148,14 +149,16 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
 
     A start is any set of rows, given as a row of starts. Trials rank by
     (objective, trial index); a refined trial stops when it converges or
-    after config.max_csteps. The winner is the refined trial with the
+    after config.max_csteps. One model.refit call evaluates the rows of
+    every refined trial that stopped, and the winner is the one with the
     lowest (refit objective, trial index). n_csteps counts the C-steps
     trials completed without turning degenerate.
     """
     kept, n_csteps = _screen(model, starts, h, config.n_best_kept)
     block = _block(model)
 
-    finished = []  # (trial, converged, mask) of each refined trial
+    # (trials, converged, masks) of the refined trials that stopped, per step
+    finished = [(kept[1][:0], np.zeros(0, bool), np.zeros((0, len(model.terms))))]
     for first in range(0, len(kept[1]), block):
         objective, trial, *params = _take(kept, slice(first, first + block))
         for step in range(config.max_csteps):
@@ -163,22 +166,20 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
             n_csteps += int(ok.sum())
             converged = objective - new_objective <= CONVERGENCE_RTOL * objective
             done = ok & (converged | (step == config.max_csteps - 1))
-            finished += [(trial[t], converged[t], mask[t]) for t in np.flatnonzero(done)]
+            finished.append((trial[done], converged[done], mask[done]))
             live = ok & ~done
             if not live.any():
                 break
             objective, trial, params = new_objective[live], trial[live], _take(params, live)
 
-    best = None
-    for trial, converged, mask in finished:
-        rows = np.flatnonzero(mask)
-        kept, objective, fit = model.refit(rows[None])
-        if kept.size and (best is None or (objective[0], trial) < (best.objective, best_trial)):
-            best = Search(float(objective[0]), fit(0), rows, bool(converged), n_csteps)
-            best_trial = trial
-    if best is None:
+    trial, converged, mask = map(np.concatenate, zip(*finished))
+    rows = np.nonzero(mask)[1].reshape(len(trial), h)
+    kept, objective, fit = model.refit(rows)  # an empty stack keeps nothing
+    if not kept.size:
         raise AllStartsDegenerate("every start or refined trial turned degenerate")
-    return best
+    best = np.lexsort((trial[kept], objective))[0]
+    return Search(float(objective[best]), fit(best), rows[kept[best]],
+                  bool(converged[kept[best]]), n_csteps)
 
 
 def run_search(

@@ -22,21 +22,13 @@ _MAX_ITERATIONS = 10_000
 _NEWTON_LAST_STEP = 1e-9  # in log(x); Newton's next error is about its square
 
 
-def _pivots_ok(a: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Relative pivot test over the trailing two axes: every L[j, j]**2 > PIVOT_RTOL * max(diag(a)).
-
-    False (including for a NaN factor) is the signature of collinear input.
-    """
-    smallest_pivot = (low.diagonal(0, -2, -1) ** 2).min(-1)  # NaN if LAPACK failed
-    return smallest_pivot > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
-
-
 def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a (T, K, K) stack of symmetric matrices via LAPACK.
 
-    ok[t] is False when a[t] fails the shared pivot test (_pivots_ok, the
-    same rule cholesky_spd applies) or LAPACK rejects it; that factor
-    becomes the identity, so one bad matrix never fails the others.
+    ok[t] is False when LAPACK rejects a[t] or it fails the relative pivot
+    test, every L[j, j]**2 > PIVOT_RTOL * max(diag(a[t])), the signature of
+    collinear input; that factor becomes the identity, so one bad matrix
+    never fails the others.
     """
     a = np.asarray(a, dtype=float)
     try:
@@ -48,25 +40,23 @@ def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 low[t] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 pass
-    ok = _pivots_ok(a, low)
+    smallest_pivot = (low.diagonal(0, -2, -1) ** 2).min(-1)  # NaN where LAPACK failed
+    ok = smallest_pivot > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
     low[~ok] = np.eye(a.shape[-1])
     return low, ok
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one symmetric matrix via one LAPACK call.
+    """Lower Cholesky factor of one symmetric matrix: the one-matrix case of spd_factor.
 
-    Raises NotPositiveDefinite when LAPACK rejects the matrix or it fails
-    the pivot test of spd_factor; the factor is bit-equal to spd_factor's.
+    Raises NotPositiveDefinite where spd_factor rejects the matrix.
     """
-    a = np.asarray(a, dtype=float)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(f"LAPACK Cholesky failed: {err}") from err
-    if not _pivots_ok(a, low):
-        raise NotPositiveDefinite(f"a Cholesky pivot is at or below {PIVOT_RTOL:g} * max(diag)")
-    return low
+    low, ok = spd_factor(np.asarray(a)[None])
+    if not ok[0]:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (a Cholesky pivot is at or below "
+            f"{PIVOT_RTOL:g} * max(diag), or LAPACK rejected it)")
+    return low[0]
 
 
 def substitute(low: np.ndarray, b: np.ndarray, back: bool = False) -> np.ndarray:

@@ -123,8 +123,7 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
 
     def fit(sums, count):
         low, ok = spd_factor(sums[:, : k * k].reshape(-1, k, k))
-        linv = np.linalg.inv(low)
-        beta = (np.swapaxes(linv, 1, 2) @ (linv @ sums[:, k * k :, None]))[:, :, 0]
+        beta = cho_apply(low, sums[:, k * k :])
         r2 = (y - beta @ x.T) ** 2
         return (beta, r2), np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1), ok
 
@@ -147,10 +146,13 @@ def c_step(
 
     Selects the h rows with the smallest squared residuals under beta
     (ties toward the lowest index), refits OLS on exactly those rows, and
-    returns (new_beta, new_objective, selected_rows). The new objective
-    never exceeds lts_objective(data, beta, h); NotPositiveDefinite means
-    the selected rows are collinear and the trial should be discarded;
-    ValueError means h lies outside [1, n].
+    returns (new_beta, new_objective, selected_rows). In exact arithmetic
+    the new objective never exceeds lts_objective(data, beta, h); in
+    floating point it can by rounding, as when beta is an exact fit of h
+    rows: the objective 0.0 becomes the refit's rounding residue (3.9e-31
+    in one case). NotPositiveDefinite means the selected rows are collinear
+    and the trial should be discarded; ValueError means h lies outside
+    [1, n].
     """
     if not 1 <= h <= data.n:
         raise ValueError(f"h must lie in [1, {data.n}], got {h}")

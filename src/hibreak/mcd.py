@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import Model, lowest_rows, run_search
-from .core_stats import chi2_cdf, chi2_quantile, cholesky_spd, factor_determinant, spd_factor
-from .core_stats import substitute
+from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
+from .core_stats import spd_factor, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
@@ -117,8 +117,8 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         second = sums[:, p:].reshape(-1, p, p) / count
         cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
         low, ok = spd_factor(cov)
-        linv = np.linalg.inv(low)
-        return (mean, np.swapaxes(linv, 1, 2) @ linv), factor_determinant(low), ok
+        precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
+        return (mean, precision), factor_determinant(low), ok
 
     def score(params):
         mean, precision = params

@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import lts as lts_mod
-from . import mcd as mcd_mod
 from .diagnostics import (
     Classification,
     DiagnosticRecord,
@@ -25,7 +23,7 @@ from .diagnostics import (
     distance_cutoff,
 )
 from .errors import DuplicateLabel, HibreakError, ParseError, PipelineStageError
-from .lts import LtsConfig, LtsFit, fit_lts
+from .lts import LtsConfig, LtsFit, consistency_factor, fit_lts
 from .mcd import McdConfig, McdEstimate, fit_mcd
 from .ols import Dataset, RegressionFit, fit_ols
 
@@ -142,10 +140,9 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
     )
 
 
-def _config_echo(data: Dataset, config: AnalysisConfig) -> dict:
-    n, k, p = data.n, data.k, len(data.predictors)
-    h_lts = lts_mod.trimmed_size(n, k, config.lts.alpha)
-    h_mcd = mcd_mod.subset_size(n, config.mcd.h_fraction)
+def _config_echo(
+    data: Dataset, config: AnalysisConfig, lts_fit: LtsFit, mcd_est: McdEstimate
+) -> dict:
     return {
         "model": {
             "response": config.model.response,
@@ -154,17 +151,17 @@ def _config_echo(data: Dataset, config: AnalysisConfig) -> dict:
         },
         "lts": {
             **asdict(config.lts),
-            "h": h_lts,
-            "consistency_factor": lts_mod.consistency_factor(h_lts, n),
+            "h": lts_fit.h,
+            "consistency_factor": consistency_factor(lts_fit.h, data.n),
         },
         "mcd": {
             **asdict(config.mcd),
-            "h": h_mcd,
-            "consistency_factor": mcd_mod.scatter_consistency_factor(h_mcd, n, p),
+            "h": mcd_est.h,
+            "consistency_factor": mcd_est.consistency_factor,
         },
         "thresholds": {
             **asdict(config.thresholds),
-            "distance_cutoff": distance_cutoff(config.thresholds, p),
+            "distance_cutoff": distance_cutoff(config.thresholds, len(data.predictors)),
         },
         "output_format": config.output_format,
     }
@@ -228,7 +225,7 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
         diagnostics=records,
         dropped=dropped,
         robust_fit=robust_fit,
-        config_echo=_config_echo(data, config),
+        config_echo=_config_echo(data, config, lts_fit, mcd_est),
         comparison=_comparison(ols_fit, robust_fit),
         lts_fit=lts_fit,
         mcd_estimate=mcd_est,

@@ -180,9 +180,8 @@ class TestWinnerPick:
             """The search with an evaluator that keeps no subset of the given rows."""
             def refit(subsets):
                 kept, objectives, fit = model.refit(subsets)
-                if np.array_equal(subsets[0], degenerate):
-                    return kept[:0], objectives[:0], fit
-                return kept, objectives, fit
+                keep = [j for j, t in enumerate(kept) if not np.array_equal(subsets[t], degenerate)]
+                return kept[keep], objectives[keep], lambda j: fit(keep[j])
             return concentration.concentrate(replace(model, refit=refit), starts, 20, config)
 
         best, runner_up = search(None), search(np.arange(20))
@@ -192,6 +191,29 @@ class TestWinnerPick:
         nothing_kept = replace(model, refit=lambda subsets: (np.arange(0), np.zeros(0), None))
         with pytest.raises(AllStartsDegenerate):
             concentration.concentrate(nothing_kept, starts, 20, config)
+
+    def test_ties_go_to_the_lower_trial_index(self, rng):
+        # trial 1 starts on the tighter line y = x, so it ranks and, after
+        # its one C-step, finishes ahead of trial 0 on y = 30 - x
+        x = rng.uniform(0.0, 10.0, size=40)
+        noise = np.where(np.arange(40) < 20, 0.1, 1.0) * rng.normal(size=40)
+        y = np.where(np.arange(40) < 20, x, 30.0 - x) + noise
+        data = make_dataset(x, y)
+        model = lts._search_model(data.design_matrix(), data.response_vector(), 20)
+        starts = np.array([[20, 25, 30], [0, 5, 10]])
+        stacks = []
+
+        def refit(subsets):
+            """The evaluator, with every kept subset's objective set to 1.0."""
+            stacks.append(subsets)
+            kept, objectives, fit = model.refit(subsets)
+            return kept, np.ones_like(objectives), fit
+
+        config = LtsConfig(n_best_kept=2, max_csteps=1)
+        search = concentration.concentrate(replace(model, refit=refit), starts, 20, config)
+        assert len(stacks) == 1
+        np.testing.assert_array_equal(stacks[0], [np.arange(20), np.arange(20, 40)])
+        np.testing.assert_array_equal(search.rows, np.arange(20, 40))
 
 
 def full_search_lts(data, config):

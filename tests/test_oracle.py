@@ -278,18 +278,21 @@ def assert_evaluator_matches(evaluate, subsets, reference):
         assert np.array_equal(flat(estimate), flat(want_estimate))
 
 
-@pytest.mark.parametrize("n", [1000, 5000])
-def test_evaluators_match_reference_at_refit_sizes(n):
-    # the evaluators also rank the searches' refined trials, whose subsets
-    # hold most of the n rows
+@pytest.mark.parametrize("n, p", [
+    pytest.param(1000, 4, id="1000"), pytest.param(5000, 4, id="5000"),
+    *(pytest.param(n, p, id=f"{n}-{p}") for n in (50, 500) for p in (2, 10)),
+])
+def test_evaluators_match_reference_at_refit_sizes(n, p):
+    # the evaluators also rank the searches' refined trials in one stacked
+    # call, whose subsets hold most of the n rows
     rng = np.random.default_rng(n)
-    data = random_regression(rng, n, 5, outlier_fraction=0.2)
+    data = random_regression(rng, n, p + 1, outlier_fraction=0.2)
     x, y = data.design_matrix(), data.response_vector()
-    h = trimmed_size(n, 5, 0.25)
+    h = trimmed_size(n, p + 1, 0.25)
     subsets = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(10)])
     assert_evaluator_matches(lambda s: lts.evaluate_subsets(x, y, s, h), subsets,
                              lambda rows: lts_subset(x, y, rows, h))
-    points = random_points(rng, n, 4, outliers=n // 5)
+    points = random_points(rng, n, p, outliers=n // 5)
     h = subset_size(n, 0.75)
     subsets = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(10)])
     assert_evaluator_matches(lambda s: mcd.evaluate_subsets(points, s), subsets,
