@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_section(data, config, report) -> dict:
+def _oracle_section(data, report) -> dict:
     """The report's own LTS and MCD objectives against exhaustive enumeration."""
     lts_exact = exact_lts(data, report.lts_fit.h)
     mcd_exact = exact_mcd(data.predictor_matrix(), report.mcd_estimate.h)
@@ -101,7 +101,7 @@ def _run_analyze(args) -> int:
     try:
         data = load_csv(args.csv, model)
         report = run_analysis(data, config)
-        oracle = _oracle_section(data, config, report) if args.oracle else None
+        oracle = _oracle_section(data, report) if args.oracle else None
         if args.plot_data:  # before the report, so that a bad path prints nothing
             with open(args.plot_data, "w", encoding="utf-8") as fh:
                 fh.write(outlier_map(report.diagnostics).to_json())

@@ -91,7 +91,13 @@ def lowest_rows(scores: np.ndarray, h: int) -> np.ndarray:
 
 
 def _draw(rng: np.random.Generator, n: int, dim: int, count: int) -> np.ndarray:
-    return np.array([np.sort(rng.choice(n, size=dim + 1, replace=False)) for _ in range(count)])
+    """(count, dim+1) sorted uniform subsets of range(n): Floyd's algorithm, all rows at once."""
+    out = np.empty((count, dim + 1), dtype=np.int64)
+    for i, j in enumerate(range(n - dim - 1, n)):
+        t = rng.integers(0, j + 1, size=count)
+        out[:, i] = np.where((out[:, :i] == t[:, None]).any(axis=1), j, t)
+    out.sort(axis=1)
+    return out
 
 
 def draw_starts(n: int, dim: int, config) -> np.ndarray:

@@ -199,7 +199,11 @@ def student_t_cdf(t: float, df: int) -> float:
     x, y = df / (df + t2), t2 / (df + t2)  # y is NaN once t * t overflows; then only x is used
     log_x = -math.log1p(r) if r < math.inf else math.log(df) - 2.0 * math.log(abs(t))
     log_y = math.log(r) + log_x if r < 1.0 else -math.log1p(1.0 / r)
-    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    if a < 50.0:
+        log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    else:  # lgamma(a + 1/2) - lgamma(a) by its asymptotic series; the lgamma values would cancel
+        log_beta = math.lgamma(0.5) - (
+            0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3) - 1.0 / (640.0 * a**5))
     front = math.exp(a * log_x + 0.5 * log_y - log_beta)
     # I_x <= 1/2 for t^2 >= 1, and I_y(1/2, a) = 1 - I_x <= 1/2 otherwise: no digits cancel
     if t2 >= 1.0:

@@ -1,11 +1,13 @@
 """The batched concentration engine shared by fit_lts and fit_mcd."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hibreak import LtsConfig, McdConfig, c_step, fit_lts, fit_mcd, lts_objective, mcd_c_step
+from hibreak import (
+    LtsConfig, McdConfig, c_step, chi2_cdf, fit_lts, fit_mcd, lts_objective, mcd_c_step)
 from hibreak import concentration, lts, mcd
 from hibreak.core_stats import chi2_quantile, mean_and_cov, spd_factor
 from hibreak.errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
@@ -214,6 +216,50 @@ class TestWinnerPick:
         assert len(stacks) == 1
         np.testing.assert_array_equal(stacks[0], [np.arange(20), np.arange(20, 40)])
         np.testing.assert_array_equal(search.rows, np.arange(20, 40))
+
+
+class TestStartDraw:
+    def test_rows_are_sorted_distinct_and_in_range(self):
+        for n, dim, count in [(7, 2, 50), (30, 3, 500), (300, 10, 50), (17, 0, 40)]:
+            starts = concentration._draw(np.random.default_rng(n), n, dim, count)
+            assert starts.shape == (count, dim + 1)
+            assert np.issubdtype(starts.dtype, np.integer)
+            assert np.all(np.diff(starts, axis=1) > 0)
+            assert starts.min() >= 0 and starts.max() < n
+
+    def test_all_rows_when_the_subset_is_every_row(self):
+        starts = concentration._draw(np.random.default_rng(0), 5, 4, 20)
+        np.testing.assert_array_equal(starts, np.tile(np.arange(5), (20, 1)))
+
+    def test_uniform_over_subsets_and_rows(self):
+        n, m, count = 7, 3, 70_000
+        starts = concentration._draw(np.random.default_rng(11), n, m - 1, count)
+
+        def p_value(counts):
+            """Chi-square goodness of fit to equal counts."""
+            expected = counts.sum() / len(counts)
+            return 1.0 - chi2_cdf(((counts - expected) ** 2 / expected).sum(), len(counts) - 1)
+
+        subsets, counts = np.unique(starts, axis=0, return_counts=True)
+        np.testing.assert_array_equal(subsets, list(itertools.combinations(range(n), m)))
+        assert p_value(counts) > 1e-6
+        # rows of one draw are distinct, so this statistic is if anything too small
+        assert p_value(np.bincount(starts.ravel(), minlength=n)) > 1e-6
+
+    def test_same_seed_same_starts(self):
+        def draw():
+            return concentration._draw(np.random.default_rng(3), 600, 4, 500)
+
+        np.testing.assert_array_equal(draw(), draw())
+        config = McdConfig(seed=3)
+        starts = concentration.draw_starts(40, 2, config)
+        np.testing.assert_array_equal(
+            starts, concentration._draw(np.random.default_rng(3), 40, 2, config.n_starts))
+
+    @pytest.mark.parametrize("n, dim", [(4, 3), (12, 1), (16, 3)])
+    def test_small_instances_enumerate_every_subset(self, n, dim):
+        starts = concentration.draw_starts(n, dim, LtsConfig(seed=5))
+        np.testing.assert_array_equal(starts, list(itertools.combinations(range(n), dim + 1)))
 
 
 def full_search_lts(data, config):

@@ -253,6 +253,13 @@ class TestStudentTCdf:
         for t in np.linspace(-1.75, -1.0, 31):
             assert student_t_cdf(t, 2000) == pytest.approx(stdtr(2000, t), rel=3e-12, abs=0)
 
+    @pytest.mark.parametrize("df", [996, 4996, 20000])
+    def test_against_stdtr_at_large_df(self, df):
+        # as lgamma(a) - lgamma(a + 1/2) the Beta prefactor would lose about
+        # log10(df / 2) digits: 3e-11 relative at df = 20000
+        for t in np.linspace(-8.0, 8.0, 321):
+            assert student_t_cdf(t, df) == pytest.approx(stdtr(df, t), rel=3e-12, abs=0)
+
     def test_edges(self):
         assert student_t_cdf(-math.inf, 3) == 0.0
         assert student_t_cdf(math.inf, 3) == 1.0

@@ -379,7 +379,7 @@ class TestJsonWriter:
         data = bad_leverage_instance().subset(np.arange(14))
         config = AnalysisConfig(model=MODEL_XY)
         report = run_analysis(data, config)
-        oracle = _oracle_section(data, config, report)
+        oracle = _oracle_section(data, report)
         assert render_report(report, "json", oracle=oracle) == naive_json(report, oracle)
 
     def test_no_intercept(self):
