@@ -4,14 +4,14 @@ FAST-LTS and FAST-MCD (Rousseeuw & Van Driessen 2006 and 1999) share one
 schedule: many small start subsets, two concentration steps (C-steps)
 each, then the n_best_kept best trials iterate to convergence. A C-step
 refits on the h rows that score lowest under the current fit, which never
-increases the objective. Here a block of trials runs as stacked arrays:
-(T, n) scores, their (T, n) 0/1 mask of the h lowest, and fits from the
-mask times per-row terms (one matmul). A degenerate trial is dropped alone.
-
-Above NESTED_MIN_N rows the starts run on disjoint random subsamples, the
-best trials of each meet again on the union of the subsamples, and only
-the best of those are refined on all rows (the nested extension of both
-papers), so the cost of the start phase does not grow with n.
+increases the objective. Each part of it is one _phase, rows in and rows
+out: a fit from each start's rows, C-steps on stacked (T, n) scores, their
+0/1 masks of the h lowest and fits from mask times per-row terms (one
+matmul), then the h rows each surviving fit selects. A degenerate trial
+is dropped alone. Above NESTED_MIN_N rows, disjoint random subsamples
+screen the starts, their union screens the rows the best of each select,
+and only the rows the best of those select go on to all rows (the nested
+extension of both papers), so the start phase does not grow with n.
 """
 
 from __future__ import annotations
@@ -120,72 +120,64 @@ def _block(model: Model) -> int:
     return max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
 
 
-def _screen(model: Model, starts: np.ndarray, h: int, n_keep: int) -> tuple[tuple, int]:
-    """Fit each start from its rows, take two C-steps, keep the n_keep best.
+def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | None = None):
+    """Fit each start (a row of starts holds its rows), then take up to steps C-steps.
 
-    Returns (objectives, trials, *params) of the kept trials, ranked by
-    (objective, trial index), and the C-steps trials completed without
-    turning degenerate.
+    Screening passes keep: every trial takes all the steps (a start's
+    objective is not comparable with an h-row one), the keep best survive
+    and hand on the h rows their last fits select. Refinement passes none:
+    every trial survives, stops once a step changes its objective by at
+    most CONVERGENCE_RTOL, and hands on the h rows of its last fit. A
+    degenerate trial is dropped alone. Returns (trial, rows, converged,
+    n_csteps): the survivors' indices into starts, ranked by (objective,
+    trial index), their rows, whether each converged, and the C-steps
+    trials completed without turning degenerate (the opening fit is none).
     """
     n = model.terms.shape[0]
-    block = _block(model)
-    n_csteps = 0
-    kept = None  # (objectives, trials, *params) of the best n_keep so far
+    block, n_csteps = _block(model), 0
+    finished = []  # (objectives, trials, converged, masks, *params) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
         mask = np.zeros((len(trial), n))
         np.put_along_axis(mask, starts[trial], 1.0, axis=1)
         params, objective, ok = model.fit(mask @ model.terms, starts.shape[1])
-        trial, params = trial[ok], _take(params, ok)
-        for _ in range(2):
-            params, objective, ok, _ = _c_step(model, params, h)
-            trial, params, objective = trial[ok], _take(params, ok), objective[ok]
-            n_csteps += len(trial)
-        merged = (objective, trial, *params)
-        if kept is not None:
-            merged = tuple(map(np.concatenate, zip(kept, merged)))
-        kept = _take(merged, np.lexsort((merged[1], merged[0]))[:n_keep])
-    if kept is None:
-        raise AllStartsDegenerate("every trial of the previous phase turned degenerate")
-    return kept, n_csteps
-
-
-def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
-    """Two C-steps from each start, then refine the config.n_best_kept best.
-
-    A start is any set of rows, given as a row of starts. Trials rank by
-    (objective, trial index); a refined trial stops when it converges or
-    after config.max_csteps. One model.refit call evaluates the rows of
-    every refined trial that stopped, and the winner is the one with the
-    lowest (refit objective, trial index). n_csteps counts the C-steps
-    trials completed without turning degenerate.
-    """
-    kept, n_csteps = _screen(model, starts, h, config.n_best_kept)
-    block = _block(model)
-
-    # (trials, converged, masks) of the refined trials that stopped, per step
-    finished = [(kept[1][:0], np.zeros(0, bool), np.zeros((0, len(model.terms))))]
-    for first in range(0, len(kept[1]), block):
-        objective, trial, *params = _take(kept, slice(first, first + block))
-        for step in range(config.max_csteps):
+        trial, params, objective = trial[ok], _take(params, ok), objective[ok]
+        for step in range(steps):
             params, new_objective, ok, mask = _c_step(model, params, h)
+            mask = mask if keep is None else mask[:, :0]  # screening selects afresh below
             n_csteps += int(ok.sum())
             converged = objective - new_objective <= CONVERGENCE_RTOL * objective
-            done = ok & (converged | (step == config.max_csteps - 1))
-            finished.append((trial[done], converged[done], mask[done]))
+            done = ok & ((converged & (keep is None)) | (step == steps - 1))
+            finished.append(_take((new_objective, trial, converged, mask, *params), done))
             live = ok & ~done
             if not live.any():
                 break
             objective, trial, params = new_objective[live], trial[live], _take(params, live)
+        merged = tuple(map(np.concatenate, zip(*finished)))
+        finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
+    objective, trial, converged, mask, *params = finished[0]
+    if not len(trial):
+        raise AllStartsDegenerate(
+            f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
+    if keep:
+        mask = lowest_mask(model.score(tuple(params)), h)
+    return trial, np.nonzero(mask)[1].reshape(len(trial), h), converged, n_csteps
 
-    trial, converged, mask = map(np.concatenate, zip(*finished))
-    rows = np.nonzero(mask)[1].reshape(len(trial), h)
-    kept, objective, fit = model.refit(rows)  # an empty stack keeps nothing
+
+def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
+    """Screen every start, refine the rows the config.n_best_kept best select, pick one.
+
+    One model.refit call evaluates the rows of the refined trials' last
+    fits, and the winner has the lowest (refit objective, start index).
+    """
+    screened, rows, _, screen_steps = _phase(model, starts, h, 2, config.n_best_kept)
+    trial, rows, converged, refine_steps = _phase(model, rows, h, config.max_csteps)
+    kept, objective, fit = model.refit(rows)
     if not kept.size:
-        raise AllStartsDegenerate("every start or refined trial turned degenerate")
-    best = np.lexsort((trial[kept], objective))[0]
+        raise AllStartsDegenerate(f"the exact refit rejects all {len(rows)} refined subsets")
+    best = np.lexsort((screened[trial[kept]], objective))[0]
     return Search(float(objective[best]), fit(best), rows[kept[best]],
-                  bool(converged[kept[best]]), n_csteps)
+                  bool(converged[kept[best]]), screen_steps + refine_steps)
 
 
 def run_search(
@@ -195,14 +187,16 @@ def run_search(
 
     make_model(rows, h_rows) models the data indexed by rows (an index
     array, or a full slice that keeps the data as it is) with h_rows-row
-    subsets. Above NESTED_MIN_N rows, each of k subsamples screens
-    n_starts // k starts, their union screens the n_best_kept best of each
-    as row subsets, and concentrate refines the best of those on every row.
-    A phase on m rows uses subsets of ceil(m h / n) rows; n_csteps counts
-    the C-steps of all phases.
+    subsets. With h >= n the one start is every row. Above NESTED_MIN_N
+    rows, each of k subsamples screens n_starts // k starts, their union
+    screens the rows the n_best_kept best of each select, and concentrate
+    takes the rows the best of those select on every row. A phase on m
+    rows uses subsets of ceil(m h / n) rows; n_csteps counts the C-steps
+    of all phases.
     """
-    if n <= NESTED_MIN_N:
-        return concentrate(make_model(slice(None), h), draw_starts(n, dim, config), h, config)
+    if h >= n or n <= NESTED_MIN_N:
+        starts = np.arange(n)[None] if h >= n else draw_starts(n, dim, config)
+        return concentrate(make_model(slice(None), h), starts, h, config)
     rng = np.random.default_rng(config.seed)
     k = min(MAX_SUBSAMPLES, n // SUBSAMPLE_ROWS, config.n_starts)
     parts = np.sort(rng.permutation(n)[: k * SUBSAMPLE_ROWS].reshape(k, SUBSAMPLE_ROWS), axis=1)
@@ -211,10 +205,9 @@ def run_search(
     def screen(rows, starts):
         """The rows each kept trial's fit selects, as rows of the data, and the C-steps."""
         h_rows = -(-len(rows) * h // n)
-        model = make_model(rows, h_rows)
-        kept, n_csteps = _screen(model, starts, h_rows, config.n_best_kept)
-        mask = lowest_mask(model.score(kept[2:]), h_rows)
-        return rows[np.nonzero(mask)[1].reshape(-1, h_rows)], n_csteps
+        _, selected, _, n_csteps = _phase(make_model(rows, h_rows), starts, h_rows, 2,
+                                          config.n_best_kept)
+        return rows[selected], n_csteps
 
     found = [screen(part, _draw(rng, SUBSAMPLE_ROWS, dim, config.n_starts // k)) for part in parts]
     candidates = np.vstack([rows for rows, _ in found])

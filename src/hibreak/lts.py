@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, concentrate, lowest_rows, run_search
+from .concentration import Model, lowest_rows, run_search
 from .core_stats import cho_apply, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite
 from .ols import Dataset
@@ -171,22 +171,19 @@ def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
     steps; the n_best_kept lowest-objective trials iterate to convergence
     and the winner is chosen by (objective, trial index), which makes the
     result deterministic for a given seed. Above 600 rows the starts run
-    on subsamples first (concentration.run_search). Trials whose selected
-    rows turn collinear are discarded; AllStartsDegenerate means none
-    survived. The reported fit is recomputed from the winner's rows; a
-    robust scale within EXACT_FIT_RTOL of the size of y is an exact fit
-    (see LtsFit).
+    on subsamples first; with nothing trimmed the one start is every row
+    (concentration.run_search). Trials whose selected rows turn collinear
+    are discarded; AllStartsDegenerate means none survived. The reported
+    fit is recomputed from the winner's rows; a robust scale within
+    EXACT_FIT_RTOL of the size of y is an exact fit (see LtsFit).
     """
     config = config or LtsConfig()
     x = data.design_matrix()
     y = data.response_vector()
     n, k = x.shape
     h = trimmed_size(n, k, config.alpha)
-    if h >= n:  # nothing to trim: the one start is every row
-        search = concentrate(_search_model(x, y, h), np.arange(n)[None], h, config)
-    else:
-        search = run_search(lambda rows, h_rows: _search_model(x[rows], y[rows], h_rows),
-                            n, k, h, config)
+    search = run_search(lambda rows, h_rows: _search_model(x[rows], y[rows], h_rows),
+                        n, k, h, config)
 
     beta = search.estimate
     raw = y - x @ beta

@@ -171,10 +171,11 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
     """Randomized concentration search for the minimum covariance determinant.
 
     Starts are (p+1)-row subsets (all of them on small instances, seeded
-    draws otherwise); each surviving start gets two concentration steps,
-    the n_best_kept lowest-determinant trials iterate to convergence, and
-    the winner is chosen by (determinant, trial index); above 600 rows the
-    starts run on subsamples first (concentration.run_search). The
+    draws otherwise, one of every row when h = n); each surviving start
+    gets two concentration steps, the n_best_kept lowest-determinant
+    trials iterate to convergence, and the winner is chosen by
+    (determinant, trial index); above 600 rows the starts run on
+    subsamples first (concentration.run_search). The
     estimate is recomputed from the winner's rows, and the scatter is
     multiplied by the consistency factor before distances are computed.
     """

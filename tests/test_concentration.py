@@ -8,7 +8,7 @@ import pytest
 
 from hibreak import (
     LtsConfig, McdConfig, c_step, chi2_cdf, fit_lts, fit_mcd, lts_objective, mcd_c_step)
-from hibreak import concentration, lts, mcd
+from hibreak import cli, concentration, lts, mcd
 from hibreak.core_stats import chi2_quantile, mean_and_cov, spd_factor
 from hibreak.errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
 
@@ -345,3 +345,84 @@ class TestNestedSearch:
             estimate.scatter, full.estimate[1] * estimate.consistency_factor)
         np.testing.assert_array_equal(estimate.best_subset, full.rows)
         assert estimate.raw_determinant == full.objective
+
+
+def dummy_design(n, ones, seed=0):
+    """A normal predictor and a 0/1 dummy with the given count of ones, and y."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.standard_normal(n), np.zeros(n)])
+    x[rng.choice(n, size=ones, replace=False), 1] = 1.0
+    return x, 1.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(n)
+
+
+def spy_on_steps(monkeypatch):
+    """The ok mask of every C-step the search takes, in call order."""
+    seen, step = [], concentration._c_step
+
+    def spy(*args):
+        out = step(*args)
+        seen.append(out[2])
+        return out
+    monkeypatch.setattr(concentration, "_c_step", spy)
+    return seen
+
+
+class TestPhaseLoop:
+    def test_screening_takes_both_steps_of_every_trial(self, rng, monkeypatch):
+        # a trial stopped at convergence would stop after one step: its first
+        # comparison is of a (p+1)-row determinant with an h-row one
+        x = random_points(rng, 200, 3, outliers=40)
+        starts = concentration._draw(rng, 200, 3, 120)
+        seen = spy_on_steps(monkeypatch)
+        model = mcd._search_model(x, 150)
+        trial, rows, _, n_csteps = concentration._phase(model, starts, 150, 2, 7)
+        assert all(ok.all() for ok in seen)
+        assert n_csteps == 2 * len(starts) == sum(len(ok) for ok in seen)
+        assert rows.shape == (7, 150) and np.all(np.diff(rows, axis=1) > 0)
+        assert len(set(trial)) == 7
+
+    @pytest.mark.parametrize("n, alpha", [(300, 0.25), (900, 0.25), (700, 0.0)])
+    def test_csteps_total_counts_every_step_taken(self, monkeypatch, n, alpha):
+        # starts without a one of the dummy drop at their opening fit, which is no C-step
+        x, y = dummy_design(n, n // 20)
+        seen = spy_on_steps(monkeypatch)
+        fit = fit_lts(make_dataset(x, y), LtsConfig(alpha=alpha, seed=1))
+        assert fit.n_csteps_total == sum(int(ok.sum()) for ok in seen)
+
+    def test_csteps_leave_out_trials_that_turn_degenerate(self, monkeypatch):
+        x, _ = dummy_design(900, 235)  # a few MCD selections hold no one of the dummy
+        seen = spy_on_steps(monkeypatch)
+        search = concentration.run_search(
+            lambda rows, h_rows: mcd._search_model(x[rows], h_rows), 900, 2, 675, McdConfig(seed=1))
+        assert not all(ok.all() for ok in seen)
+        assert search.n_csteps == sum(int(ok.sum()) for ok in seen)
+
+    @pytest.mark.parametrize("n", [40, 1000])
+    def test_one_start_of_every_row_when_nothing_is_trimmed(self, rng, monkeypatch, n):
+        x = random_points(rng, n, 3, outliers=n // 5)
+        seen = spy_on_steps(monkeypatch)
+        estimate = fit_mcd(x, McdConfig(h_fraction=1.0))
+        assert [len(ok) for ok in seen] == [1, 1, 1]  # two screening steps, one to converge
+        center, cov = mean_and_cov(x)
+        np.testing.assert_array_equal(estimate.best_subset, np.arange(n))
+        np.testing.assert_allclose(estimate.center, center, rtol=1e-12)
+        np.testing.assert_allclose(estimate.scatter, cov, rtol=1e-12)
+        fit = fit_lts(random_regression(rng, n, 3), LtsConfig(alpha=0.0))
+        np.testing.assert_array_equal(fit.h_subset, np.arange(n))
+        assert fit.n_csteps_total == 3  # two screening steps, one to confirm convergence
+
+    def test_all_degenerate_names_the_failing_phase(self, tmp_path, capsys):
+        x = np.ones((20, 2))
+        x[:, 1] = np.arange(20.0)
+        x[[3, 4, 5], 1] = 1.0  # rows 3..5 share x, so no fit on them alone exists
+        model = lts._search_model(x, x[:, 1] + 1.0, 15)
+        with pytest.raises(AllStartsDegenerate, match="all 2 trials on 20 rows with h=15 "):
+            concentration.concentrate(model, np.array([[3, 4, 5], [3, 4, 5]]), 15, LtsConfig())
+        # in 1000 rows a dummy with 30 ones leaves every trial of a subsample degenerate
+        x, y = dummy_design(1000, 30)
+        path = tmp_path / "dummy.csv"
+        path.write_text("row,y,x,d\n" + "".join(
+            f"r{i},{y[i]:.17g},{x[i, 0]:.17g},{x[i, 1]:.17g}\n" for i in range(1000)))
+        assert cli.main(["analyze", str(path), "--response", "y", "--predictors", "x,d"]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'mcd': all 166 trials on 300 rows with h=225 turned degenerate" in err
