@@ -1,17 +1,15 @@
 """Batched concentration-step search shared by LTS and MCD.
 
 FAST-LTS and FAST-MCD (Rousseeuw & Van Driessen 2006 and 1999) share one
-schedule: many small start subsets, two concentration steps (C-steps)
-each, then the n_best_kept best trials iterate to convergence. A C-step
-refits on the h rows that score lowest under the current fit, which never
-increases the objective. Each part of it is one _phase, rows in and rows
-out: a fit from each start's rows, C-steps on stacked (T, n) scores, their
-0/1 masks of the h lowest and fits from mask times per-row terms (one
-matmul), then the h rows each surviving fit selects. A degenerate trial
-is dropped alone. Above NESTED_MIN_N rows, disjoint random subsamples
-screen the starts, their union screens the rows the best of each select,
-and only the rows the best of those select go on to all rows (the nested
-extension of both papers), so the start phase does not grow with n.
+schedule: many small starts take two concentration steps (C-steps) each,
+then the n_best_kept best iterate to convergence. A C-step refits on the
+h rows that score lowest under the current fit, which never increases
+the objective. Each part is one _phase, rows in and rows out, batched as
+(T, n) scores, their 0/1 masks of the h lowest and fits from mask times
+per-row terms (one matmul). Above NESTED_MIN_N rows, disjoint random
+subsamples screen the starts and their union the rows the best of each
+select, so the start phase does not grow with n (the nested extension
+of both papers).
 """
 
 from __future__ import annotations
@@ -120,64 +118,67 @@ def _block(model: Model) -> int:
     return max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
 
 
-def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | None = None):
+def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | None = None,
+           objective: np.ndarray | None = None, optional: bool = False):
     """Fit each start (a row of starts holds its rows), then take up to steps C-steps.
 
-    Screening passes keep: every trial takes all the steps (a start's
-    objective is not comparable with an h-row one), the keep best survive
-    and hand on the h rows their last fits select. Refinement passes none:
-    every trial survives, stops once a step changes its objective by at
-    most CONVERGENCE_RTOL, and hands on the h rows of its last fit. A
-    degenerate trial is dropped alone. Returns (trial, rows, converged,
-    n_csteps): the survivors' indices into starts, ranked by (objective,
-    trial index), their rows, whether each converged, and the C-steps
-    trials completed without turning degenerate (the opening fit is none).
+    Screening passes keep: every trial takes all steps (a start's objective
+    is not comparable with an h-row one), and the keep best hand on the h
+    rows their last fits select. Refinement passes the objective of the fits
+    that selected starts: a trial stops once a fit, the opening one too,
+    changes it by at most CONVERGENCE_RTOL, and hands on its last fit's rows.
+    A degenerate trial is dropped alone; a phase left with none raises
+    AllStartsDegenerate unless optional. Returns (trial, rows, objective,
+    converged, n_csteps): trial indexes starts (ranked when screening) and
+    n_csteps counts the C-steps that did not turn degenerate.
     """
-    n = model.terms.shape[0]
-    block, n_csteps = _block(model), 0
-    finished = []  # (objectives, trials, converged, masks, *params) of stopped trials
+    n, block, n_csteps = model.terms.shape[0], _block(model), 0
+    finished = []  # (objectives, trials, converged, *carry) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
         mask = np.zeros((len(trial), n))
         np.put_along_axis(mask, starts[trial], 1.0, axis=1)
-        params, objective, ok = model.fit(mask @ model.terms, starts.shape[1])
-        trial, params, objective = trial[ok], _take(params, ok), objective[ok]
-        for step in range(steps):
-            params, new_objective, ok, mask = _c_step(model, params, h)
-            mask = mask if keep is None else mask[:, :0]  # screening selects afresh below
-            n_csteps += int(ok.sum())
-            converged = objective - new_objective <= CONVERGENCE_RTOL * objective
-            done = ok & ((converged & (keep is None)) | (step == steps - 1))
-            finished.append(_take((new_objective, trial, converged, mask, *params), done))
+        params, new, ok = model.fit(mask @ model.terms, starts.shape[1])
+        old = objective[trial] if keep is None else new
+        for step in range(steps + 1):
+            if step:
+                old, trial, params = new[live], trial[live], _take(params, live)
+                params, new, ok, mask = _c_step(model, params, h)
+                n_csteps += int(ok.sum())
+            converged = old - new <= CONVERGENCE_RTOL * old
+            done = ok & ((converged & (keep is None)) | (step == steps))
+            carry = (mask,) if keep is None else params  # refinement's rows, or fits to rank
+            finished.append(_take((new, trial, converged, *carry), done))
             live = ok & ~done
             if not live.any():
                 break
-            objective, trial, params = new_objective[live], trial[live], _take(params, live)
-        merged = tuple(map(np.concatenate, zip(*finished)))
-        finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
-    objective, trial, converged, mask, *params = finished[0]
-    if not len(trial):
-        raise AllStartsDegenerate(
-            f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
-    if keep:
-        mask = lowest_mask(model.score(tuple(params)), h)
-    return trial, np.nonzero(mask)[1].reshape(len(trial), h), converged, n_csteps
+        if keep is not None:
+            merged = tuple(map(np.concatenate, zip(*finished)))
+            finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
+    if not optional and not sum(len(f[1]) for f in finished):
+        raise AllStartsDegenerate(f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
+    objective, trial, converged, *carry = map(np.concatenate, zip(*finished))
+    mask = carry[0] if keep is None else lowest_mask(model.score(tuple(carry)), h)
+    rows = np.flatnonzero(mask > 0).reshape(len(trial), h) - n * np.arange(len(trial))[:, None]
+    return trial, rows, objective, converged, n_csteps
 
 
 def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
     """Screen every start, refine the rows the config.n_best_kept best select, pick one.
 
-    One model.refit call evaluates the rows of the refined trials' last
-    fits, and the winner has the lowest (refit objective, start index).
+    Refinement opens with a fit on those rows, so a refined trial takes up
+    to config.max_csteps fits. One model.refit call evaluates the refined
+    trials' last rows; the winner has the lowest (refit objective, start index).
     """
-    screened, rows, _, screen_steps = _phase(model, starts, h, 2, config.n_best_kept)
-    trial, rows, converged, refine_steps = _phase(model, rows, h, config.max_csteps)
+    screened, rows, objective, _, n_csteps = _phase(model, starts, h, 2, config.n_best_kept)
+    trial, rows, _, converged, refine_steps = _phase(
+        model, rows, h, config.max_csteps - 1, objective=objective)
     kept, objective, fit = model.refit(rows)
     if not kept.size:
         raise AllStartsDegenerate(f"the exact refit rejects all {len(rows)} refined subsets")
     best = np.lexsort((screened[trial[kept]], objective))[0]
     return Search(float(objective[best]), fit(best), rows[kept[best]],
-                  bool(converged[kept[best]]), screen_steps + refine_steps)
+                  bool(converged[kept[best]]), n_csteps + refine_steps)
 
 
 def run_search(
@@ -188,11 +189,11 @@ def run_search(
     make_model(rows, h_rows) models the data indexed by rows (an index
     array, or a full slice that keeps the data as it is) with h_rows-row
     subsets. With h >= n the one start is every row. Above NESTED_MIN_N
-    rows, each of k subsamples screens n_starts // k starts, their union
-    screens the rows the n_best_kept best of each select, and concentrate
-    takes the rows the best of those select on every row. A phase on m
-    rows uses subsets of ceil(m h / n) rows; n_csteps counts the C-steps
-    of all phases.
+    rows, k subsamples screen n_starts // k starts each (one may be left
+    with none), their union screens the rows the n_best_kept best of each
+    select, and concentrate takes the rows the best of those select on
+    every row. A phase on m rows uses subsets of ceil(m h / n) rows;
+    n_csteps counts the C-steps of all phases.
     """
     if h >= n or n <= NESTED_MIN_N:
         starts = np.arange(n)[None] if h >= n else draw_starts(n, dim, config)
@@ -202,15 +203,14 @@ def run_search(
     parts = np.sort(rng.permutation(n)[: k * SUBSAMPLE_ROWS].reshape(k, SUBSAMPLE_ROWS), axis=1)
     union = np.sort(parts, axis=None)
 
-    def screen(rows, starts):
+    def screen(rows, starts, optional=False):
         """The rows each kept trial's fit selects, as rows of the data, and the C-steps."""
         h_rows = -(-len(rows) * h // n)
-        _, selected, _, n_csteps = _phase(make_model(rows, h_rows), starts, h_rows, 2,
-                                          config.n_best_kept)
+        _, selected, _, _, n_csteps = _phase(make_model(rows, h_rows), starts, h_rows, 2,
+                                             config.n_best_kept, optional=optional)
         return rows[selected], n_csteps
 
-    found = [screen(part, _draw(rng, SUBSAMPLE_ROWS, dim, config.n_starts // k)) for part in parts]
-    candidates = np.vstack([rows for rows, _ in found])
-    starts, n_csteps = screen(union, np.searchsorted(union, candidates))
+    found = [screen(p, _draw(rng, SUBSAMPLE_ROWS, dim, config.n_starts // k), True) for p in parts]
+    starts, n_csteps = screen(union, np.searchsorted(union, np.vstack([r for r, _ in found])))
     search = concentrate(make_model(slice(None), h), starts, h, config)
     return replace(search, n_csteps=search.n_csteps + n_csteps + sum(c for _, c in found))

@@ -375,11 +375,25 @@ class TestPhaseLoop:
         starts = concentration._draw(rng, 200, 3, 120)
         seen = spy_on_steps(monkeypatch)
         model = mcd._search_model(x, 150)
-        trial, rows, _, n_csteps = concentration._phase(model, starts, 150, 2, 7)
+        trial, rows, _, _, n_csteps = concentration._phase(model, starts, 150, 2, 7)
         assert all(ok.all() for ok in seen)
         assert n_csteps == 2 * len(starts) == sum(len(ok) for ok in seen)
         assert rows.shape == (7, 150) and np.all(np.diff(rows, axis=1) > 0)
         assert len(set(trial)) == 7
+
+    def test_max_csteps_counts_the_opening_fit_of_refinement(self, monkeypatch):
+        # refinement opens with a fit of the rows the screened fits select,
+        # the first of its max_csteps fits: at one, only screening takes C-steps,
+        # although leverage outliers leave the refined trials short of convergence
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 3))
+        y = x @ [1.0, 2.0, 3.0] + rng.standard_normal(200)
+        y[:40] += 20.0
+        x[:33] += 5.0
+        seen = spy_on_steps(monkeypatch)
+        fit = fit_lts(make_dataset(x, y), LtsConfig(max_csteps=1))
+        assert not fit.converged
+        assert fit.n_csteps_total == sum(len(ok) for ok in seen) == 2 * LtsConfig().n_starts
 
     @pytest.mark.parametrize("n, alpha", [(300, 0.25), (900, 0.25), (700, 0.0)])
     def test_csteps_total_counts_every_step_taken(self, monkeypatch, n, alpha):
@@ -402,14 +416,15 @@ class TestPhaseLoop:
         x = random_points(rng, n, 3, outliers=n // 5)
         seen = spy_on_steps(monkeypatch)
         estimate = fit_mcd(x, McdConfig(h_fraction=1.0))
-        assert [len(ok) for ok in seen] == [1, 1, 1]  # two screening steps, one to converge
+        # two screening steps; refinement converges at its opening fit
+        assert [len(ok) for ok in seen] == [1, 1]
         center, cov = mean_and_cov(x)
         np.testing.assert_array_equal(estimate.best_subset, np.arange(n))
         np.testing.assert_allclose(estimate.center, center, rtol=1e-12)
         np.testing.assert_allclose(estimate.scatter, cov, rtol=1e-12)
         fit = fit_lts(random_regression(rng, n, 3), LtsConfig(alpha=0.0))
         np.testing.assert_array_equal(fit.h_subset, np.arange(n))
-        assert fit.n_csteps_total == 3  # two screening steps, one to confirm convergence
+        assert fit.n_csteps_total == 2
 
     def test_all_degenerate_names_the_failing_phase(self, tmp_path, capsys):
         x = np.ones((20, 2))
@@ -418,11 +433,20 @@ class TestPhaseLoop:
         model = lts._search_model(x, x[:, 1] + 1.0, 15)
         with pytest.raises(AllStartsDegenerate, match="all 2 trials on 20 rows with h=15 "):
             concentration.concentrate(model, np.array([[3, 4, 5], [3, 4, 5]]), 15, LtsConfig())
-        # in 1000 rows a dummy with 30 ones leaves every trial of a subsample degenerate
-        x, y = dummy_design(1000, 30)
+        # in 1000 rows a dummy with 150 ones leaves MCD trials in each subsample,
+        # but none of those the union screens
+        x, y = dummy_design(1000, 150)
         path = tmp_path / "dummy.csv"
         path.write_text("row,y,x,d\n" + "".join(
             f"r{i},{y[i]:.17g},{x[i, 0]:.17g},{x[i, 1]:.17g}\n" for i in range(1000)))
         assert cli.main(["analyze", str(path), "--response", "y", "--predictors", "x,d"]) == 3
         err = capsys.readouterr().err
-        assert "stage 'mcd': all 166 trials on 300 rows with h=225 turned degenerate" in err
+        assert "stage 'mcd': all 30 trials on 900 rows with h=675 turned degenerate" in err
+
+    def test_a_subsample_left_with_no_trial_hands_on_no_rows(self):
+        # 3 ones in 1000 rows: the first subsample holds none, so its dummy
+        # column is constant and every LTS trial there is degenerate; the
+        # other two hold the ones
+        x, y = dummy_design(1000, 3)
+        fit = fit_lts(make_dataset(x, y), LtsConfig())
+        assert fit.h_subset.shape == (750,) and np.isfinite(fit.coefficients).all()
