@@ -16,7 +16,8 @@ from .errors import InputError, NumericalError
 from .lts import LtsConfig, fit_lts  # noqa: F401
 from .mcd import McdConfig, fit_mcd  # noqa: F401
 from .oracle import exact_lts, exact_mcd
-from .pipeline import AnalysisConfig, ModelSpec, load_csv, render_report, run_analysis
+from .pipeline import REPORT_FORMATS, AnalysisConfig, ModelSpec, load_csv, render_report
+from .pipeline import run_analysis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,14 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictors", required=True, help="comma-separated predictor column names"
     )
     analyze.add_argument("--no-intercept", action="store_true", help="fit without a constant")
-    analyze.add_argument("--alpha", type=float, default=0.25, help="LTS trimming fraction")
-    analyze.add_argument("--mcd-h", type=float, default=0.75, help="MCD subset fraction")
-    analyze.add_argument("--resid-cutoff", type=float, default=2.5)
-    analyze.add_argument("--severe-cutoff", type=float, default=4.0)
-    analyze.add_argument("--distance-quantile", type=float, default=0.975)
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--starts", type=int, default=500)
-    analyze.add_argument("--format", choices=("json", "markdown", "tsv"), default="markdown")
+    # Defaults come from the config fields the flags set; --seed and --starts feed both searches.
+    thresholds = DiagnosticThresholds
+    analyze.add_argument("--alpha", type=float, default=LtsConfig.alpha, help="LTS trimming fraction")
+    analyze.add_argument("--mcd-h", type=float, default=McdConfig.h_fraction, help="MCD subset fraction")
+    analyze.add_argument("--resid-cutoff", type=float, default=thresholds.residual_cutoff)
+    analyze.add_argument("--severe-cutoff", type=float, default=thresholds.severe_residual_cutoff)
+    analyze.add_argument("--distance-quantile", type=float, default=thresholds.distance_quantile)
+    analyze.add_argument("--seed", type=int, default=LtsConfig.seed)
+    analyze.add_argument("--starts", type=int, default=LtsConfig.n_starts)
+    analyze.add_argument("--format", choices=REPORT_FORMATS, default=AnalysisConfig.output_format)
     analyze.add_argument("--plot-data", metavar="PATH", help="write outlier-map JSON here")
     analyze.add_argument(
         "--oracle",
@@ -76,11 +79,12 @@ def _oracle_section(data, report) -> dict:
     }
 
 
-def _run_analyze(args) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)  # analyze is the one command
     try:
         model = ModelSpec(
             response=args.response,
-            predictors=tuple(name.strip() for name in args.predictors.split(",") if name.strip()),
+            predictors=args.predictors.split(","),
             has_intercept=not args.no_intercept,
         )
         config = AnalysisConfig(
@@ -114,13 +118,6 @@ def _run_analyze(args) -> int:
 
     print(render_report(report, args.format, oracle=oracle))
     return EXIT_OK
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _run_analyze(args)
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -72,6 +72,14 @@ class Search:
     n_csteps: int
 
 
+def check_search_config(config) -> None:
+    """The rules on the search fields that LtsConfig and McdConfig share; ValueError if broken."""
+    if min(config.n_starts, config.n_best_kept, config.max_csteps) < 1:
+        raise ValueError("n_starts, n_best_kept and max_csteps must be >= 1")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
+
+
 def lowest_mask(scores: np.ndarray, h: int) -> np.ndarray:
     """0/1 mask of the h lowest of each row of scores; ties go to the lowest index."""
     kth = np.partition(scores, h - 1, axis=1)[:, h - 1 : h]

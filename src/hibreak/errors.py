@@ -80,9 +80,3 @@ class PipelineStageError(NumericalError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r}: {cause}")
-
-
-# Former names, kept for existing imports.
-RankDeficient = RankDeficientSubset = SingularSubset = NotPositiveDefinite
-AllSubsetsDegenerate = AllStartsDegenerate
-ColumnMismatch = MissingColumn

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, lowest_rows, run_search
+from .concentration import Model, check_search_config, lowest_rows, run_search
 from .core_stats import cho_apply, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite
 from .ols import Dataset
@@ -38,10 +38,7 @@ class LtsConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError(f"alpha must lie in [0, 0.5], got {self.alpha}")
-        if min(self.n_starts, self.n_best_kept, self.max_csteps) < 1:
-            raise ValueError("n_starts, n_best_kept and max_csteps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_search_config(self)
 
 
 @dataclass(eq=False)
@@ -170,12 +167,12 @@ def fit_lts(data: Dataset, config: LtsConfig | None = None) -> LtsFit:
     Every (K+1)-row start subset gets an OLS fit and two concentration
     steps; the n_best_kept lowest-objective trials iterate to convergence
     and the winner is chosen by (objective, trial index), which makes the
-    result deterministic for a given seed. Above 600 rows the starts run
-    on subsamples first; with nothing trimmed the one start is every row
-    (concentration.run_search). Trials whose selected rows turn collinear
-    are discarded; AllStartsDegenerate means none survived. The reported
-    fit is recomputed from the winner's rows; a robust scale within
-    EXACT_FIT_RTOL of the size of y is an exact fit (see LtsFit).
+    result deterministic for a given seed. Above NESTED_MIN_N rows the
+    starts run on subsamples first; with nothing trimmed the one start is
+    every row (concentration.run_search). Trials whose selected rows turn
+    collinear are discarded; AllStartsDegenerate means none survived. The
+    reported fit is recomputed from the winner's rows; a robust scale
+    within EXACT_FIT_RTOL of the size of y is an exact fit (see LtsFit).
     """
     config = config or LtsConfig()
     x = data.design_matrix()

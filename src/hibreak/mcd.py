@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, lowest_rows, run_search
+from .concentration import Model, check_search_config, lowest_rows, run_search
 from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
 from .core_stats import spd_factor, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
@@ -34,10 +34,7 @@ class McdConfig:
     def __post_init__(self):
         if not 0.5 < self.h_fraction <= 1.0:
             raise ValueError(f"h_fraction must lie in (0.5, 1], got {self.h_fraction}")
-        if min(self.n_starts, self.n_best_kept, self.max_csteps) < 1:
-            raise ValueError("n_starts, n_best_kept and max_csteps must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_search_config(self)
 
 
 @dataclass(eq=False)
@@ -117,7 +114,9 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         second = sums[:, p:].reshape(-1, p, p) / count
         cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
         low, ok = spd_factor(cov)
-        precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
+        ok &= np.isfinite(precision).all(axis=(1, 2))  # pivots near underflow overflow it
         return (mean, precision), factor_determinant(low), ok
 
     def score(params):
@@ -174,17 +173,15 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
     draws otherwise, one of every row when h = n); each surviving start
     gets two concentration steps, the n_best_kept lowest-determinant
     trials iterate to convergence, and the winner is chosen by
-    (determinant, trial index); above 600 rows the starts run on
-    subsamples first (concentration.run_search). The
-    estimate is recomputed from the winner's rows, and the scatter is
-    multiplied by the consistency factor before distances are computed.
+    (determinant, trial index); above NESTED_MIN_N rows the starts run
+    on subsamples first (concentration.run_search). The estimate is
+    recomputed from the winner's rows, and the scatter is multiplied by
+    the consistency factor before distances are computed.
     """
     config = config or McdConfig()
     x = _validate(x)
     n, p = x.shape
-    h = subset_size(n, config.h_fraction)
-    if h < p + 1:
-        raise TooFewRows(f"h={h} from h_fraction={config.h_fraction} is below p+1={p + 1}")
+    h = subset_size(n, config.h_fraction)  # >= p+1, since n >= 2(p+1) and h_fraction > 1/2
     search = run_search(lambda rows, h_rows: _search_model(x[rows], h_rows), n, p, h, config)
 
     center, cov = search.estimate

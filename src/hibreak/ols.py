@@ -174,7 +174,8 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
 
     Standard errors come from sigma^2 * diag((X'X)^-1) with
     sigma^2 = RSS / (n_used - K); R^2 uses centered TSS when an intercept
-    is present and uncentered TSS otherwise. The overall F excludes the
+    is present and uncentered TSS otherwise; with TSS = 0 it is 1 for an
+    exact fit (RSS = 0) and 0 otherwise. The overall F excludes the
     intercept from the numerator (K-1 numerator df) and is reported as 0
     for intercept-only fits.
     """

@@ -27,6 +27,8 @@ from .lts import LtsConfig, LtsFit, consistency_factor, fit_lts
 from .mcd import McdConfig, McdEstimate, fit_mcd
 from .ols import Dataset, RegressionFit, fit_ols
 
+REPORT_FORMATS = ("json", "markdown", "tsv")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -35,10 +37,14 @@ class ModelSpec:
     has_intercept: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "predictors", tuple(self.predictors))
-        if not self.predictors:
+        predictors = tuple(name.strip() for name in self.predictors if name.strip())
+        object.__setattr__(self, "response", self.response.strip())
+        object.__setattr__(self, "predictors", predictors)
+        if not predictors:
             raise ValueError("model needs at least one predictor column")
-        if self.response in self.predictors:
+        if len(set(predictors)) < len(predictors):
+            raise ValueError(f"predictors {list(predictors)} name a column twice")
+        if self.response in predictors:
             raise ValueError(f"response {self.response!r} is also a predictor")
 
 
@@ -51,7 +57,7 @@ class AnalysisConfig:
     output_format: str = "markdown"
 
     def __post_init__(self):
-        if self.output_format not in ("json", "markdown", "tsv"):
+        if self.output_format not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
 
@@ -167,8 +173,12 @@ def _config_echo(
     }
 
 
+# The fit statistics of the report's summary rows, with their markdown titles.
+_SUMMARY = (("r_squared", "R^2"), ("f_value", "F-value"), ("sigma", "sigma"), ("n_used", "n used"))
+
+
 def _fit_summary(fit: RegressionFit) -> dict:
-    return {key: getattr(fit, key) for key in ("r_squared", "f_value", "sigma", "n_used")}
+    return {key: getattr(fit, key) for key, _ in _SUMMARY}
 
 
 def _coefficient(fit: RegressionFit, j: int) -> dict:
@@ -339,12 +349,7 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
     ]
     out += ["| " + " | ".join(_coefficient_cells(row)) + " |" for row in report.comparison["rows"]]
     out += ["", "| | OLS | ROBUST |", "|---|---|---|"]
-    for key, title in (
-        ("r_squared", "R^2"),
-        ("f_value", "F-value"),
-        ("sigma", "sigma"),
-        ("n_used", "n used"),
-    ):
+    for key, title in _SUMMARY:
         out.append(
             f"| {title} | {_sig(report.comparison['ols'][key])} "
             f"| {_sig(report.comparison['robust'][key])} |"
@@ -401,7 +406,7 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
          "robust_coeff", "robust_se", "robust_t", "robust_p"]
     ]
     rows += [_coefficient_cells(row) for row in report.comparison["rows"]]
-    for key in ("r_squared", "f_value", "sigma", "n_used"):
+    for key, _ in _SUMMARY:
         rows.append(
             [key, _sig(report.comparison["ols"][key]), "-", "-", "-",
              _sig(report.comparison["robust"][key]), "-", "-", "-"]

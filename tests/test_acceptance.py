@@ -29,7 +29,7 @@ from hibreak import (
     run_analysis,
 )
 from hibreak.core_stats import mean_and_cov
-from hibreak.errors import RankDeficientSubset, SingularSubset
+from hibreak.errors import NotPositiveDefinite
 from hibreak.lts import c_step, trimmed_size
 from hibreak.pipeline import AnalysisConfig, ModelSpec
 
@@ -113,7 +113,7 @@ def test_criterion_3_cstep_monotonicity():
             for _ in range(8):
                 try:
                     beta, after, _ = c_step(data, beta, h)
-                except RankDeficientSubset:
+                except NotPositiveDefinite:
                     break
                 assert after <= before, f"objective rose {before} -> {after}"
                 increases += after > before
@@ -141,7 +141,7 @@ def test_criterion_3_cstep_monotonicity():
                     if after == before:
                         break
                     before = after
-            except SingularSubset:
+            except NotPositiveDefinite:
                 continue
     assert steps >= 10000, f"only {steps} concentration steps recorded"
     assert increases == 0

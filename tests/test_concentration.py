@@ -10,7 +10,7 @@ from hibreak import (
     LtsConfig, McdConfig, c_step, chi2_cdf, fit_lts, fit_mcd, lts_objective, mcd_c_step)
 from hibreak import cli, concentration, lts, mcd
 from hibreak.core_stats import chi2_quantile, mean_and_cov, spd_factor
-from hibreak.errors import AllStartsDegenerate, RankDeficientSubset, SingularSubset
+from hibreak.errors import AllStartsDegenerate, NotPositiveDefinite
 
 from conftest import make_dataset, random_points, random_regression
 
@@ -139,7 +139,7 @@ class TestPublicStepsAgreeWithDriver:
             _, objective, ok, mask = concentration._c_step(model, params, h)
             try:
                 _, public_objective, subset = c_step(data, beta0, h)
-            except RankDeficientSubset:
+            except NotPositiveDefinite:
                 assert not ok[0]
                 continue
             np.testing.assert_array_equal(subset, np.flatnonzero(mask[0]))
@@ -159,7 +159,7 @@ class TestPublicStepsAgreeWithDriver:
             center, cov = mean_and_cov(x[start])
             try:
                 new_center, new_cov, subset, public_det = mcd_c_step(x, center, cov, h)
-            except SingularSubset:
+            except NotPositiveDefinite:
                 assert not ok[0]
                 continue
             np.testing.assert_array_equal(subset, np.flatnonzero(mask[0]))

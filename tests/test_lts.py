@@ -10,7 +10,7 @@ from hibreak import (
     lts_objective,
     standardize_residuals,
 )
-from hibreak.errors import AllStartsDegenerate, RankDeficientSubset
+from hibreak.errors import AllStartsDegenerate, NotPositiveDefinite
 from hibreak.lts import consistency_factor, trimmed_size
 
 from conftest import make_dataset, random_regression
@@ -92,7 +92,7 @@ class TestCStep:
         # duplicated predictor values make every selected subset collinear
         x = np.ones(6)
         data = make_dataset(x, np.arange(6.0))
-        with pytest.raises(RankDeficientSubset):
+        with pytest.raises(NotPositiveDefinite):
             c_step(data, np.array([0.0, 0.0]), 4)
 
     @pytest.mark.parametrize("h", [-1, 0, 21])

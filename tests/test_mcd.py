@@ -3,7 +3,7 @@ import pytest
 
 from hibreak import McdConfig, exact_mcd, fit_mcd, mcd_c_step, robust_distances
 from hibreak.core_stats import mean_and_cov
-from hibreak.errors import AllStartsDegenerate, ConstantColumn, SingularSubset
+from hibreak.errors import AllStartsDegenerate, ConstantColumn, NotPositiveDefinite
 from hibreak.mcd import scatter_consistency_factor, subset_size
 
 from conftest import random_points
@@ -52,12 +52,12 @@ class TestMcdCStep:
                     if prev is not None:
                         assert det <= prev
                     prev = det
-            except SingularSubset:
+            except NotPositiveDefinite:
                 continue
 
     def test_singular_input_scatter(self, rng):
         x = rng.normal(size=(10, 2))
-        with pytest.raises(SingularSubset):
+        with pytest.raises(NotPositiveDefinite):
             mcd_c_step(x, np.zeros(2), np.zeros((2, 2)), 8)
 
     @pytest.mark.parametrize("h", [-1, 0, 2, 21])
@@ -124,6 +124,14 @@ class TestFitMcd:
         x = np.array([[5.0], [5.0], [5.0], [5.0], [5.0], [100.0]])
         with pytest.raises(AllStartsDegenerate):
             fit_mcd(x, McdConfig(h_fraction=(5 + 0.5) / 6))
+
+    def test_scatter_near_underflow_degenerates(self):
+        # each start's variance (about 1e-316) factors, but its inverse
+        # overflows; such trials are dropped instead of ranking rows by inf
+        x = np.zeros((8, 1))
+        x[7, 0] = 4.33932732e-158
+        with pytest.raises(AllStartsDegenerate):
+            fit_mcd(x)
 
     def test_constant_column(self, rng):
         x = np.column_stack([np.ones(12), rng.normal(size=12)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hibreak import Dataset, fit_ols, predict
-from hibreak.errors import ColumnMismatch, RankDeficient, TooFewRows
+from hibreak.errors import MissingColumn, NotPositiveDefinite, TooFewRows
 from hibreak.ols import t_and_p
 
 from conftest import make_dataset, random_regression
@@ -94,7 +94,7 @@ class TestFitOls:
 
     def test_collinear_raises(self):
         x = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(NotPositiveDefinite):
             fit_ols(make_dataset(x, np.arange(6.0)))
 
     def test_too_few_rows_after_exclusion(self, rng):
@@ -113,6 +113,27 @@ class TestFitOls:
         )
         fit = fit_ols(data)
         assert fit.f_value >= 0.0
+
+    def test_f_value_of_a_true_intercept_only_fit(self):
+        data = Dataset(
+            row_labels=("a", "b", "c", "d"),
+            column_names=("y",),
+            response="y",
+            predictors=(),
+            values=np.array([[1.0], [2.0], [4.0], [3.5]]),
+        )
+        fit = fit_ols(data)
+        assert fit.coefficient_names == ("const",)
+        assert fit.f_value == 0.0
+
+    @pytest.mark.parametrize("level", [0.0, 3.0])
+    def test_constant_response_r_squared(self, level):
+        # TSS = 0: R^2 is 1 for an exact fit (RSS = 0) and 0 otherwise
+        fit = fit_ols(make_dataset(np.arange(8.0), np.full(8, level)))
+        rss = float(fit.residuals @ fit.residuals)
+        assert fit.r_squared == (1.0 if rss == 0.0 else 0.0)
+        if level == 0.0:
+            assert fit.r_squared == 1.0
 
     def test_duplicate_row_labels_rejected(self):
         from hibreak.errors import DuplicateLabel
@@ -170,5 +191,5 @@ class TestPredict:
             predictors=("x1",),
             values=data.values[:, :2],
         )
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(MissingColumn):
             predict(fit, slim)

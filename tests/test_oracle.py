@@ -7,7 +7,7 @@ import pytest
 
 from hibreak import OracleResult, concentration, exact_lts, exact_mcd, fit_ols, lts, mcd
 from hibreak.core_stats import cho_apply, cholesky_spd, factor_determinant, mean_and_cov
-from hibreak.errors import AllSubsetsDegenerate, NotPositiveDefinite, TooLarge
+from hibreak.errors import AllStartsDegenerate, NotPositiveDefinite, TooLarge
 from hibreak.lts import trimmed_size
 from hibreak.mcd import subset_size
 
@@ -31,7 +31,7 @@ def reference_enumerate(n, h, evaluate, degenerate):
         if best is None or objective < best[0]:
             best = (objective, rows, fit)
     if best is None:
-        raise AllSubsetsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
+        raise AllStartsDegenerate(f"all C({n}, {h}) subsets were {degenerate}")
     objective, rows, fit = best
     return OracleResult(rows, objective, fit, evaluated)
 
@@ -76,8 +76,8 @@ def assert_bit_identical(result, reference):
 def assert_lts_matches_reference(data, h):
     try:
         expected = reference_lts(data, h)
-    except AllSubsetsDegenerate as err:
-        with pytest.raises(AllSubsetsDegenerate, match=re.escape(str(err))):
+    except AllStartsDegenerate as err:
+        with pytest.raises(AllStartsDegenerate, match=re.escape(str(err))):
             exact_lts(data, h)
         return None
     assert_bit_identical(exact_lts(data, h), expected)
@@ -87,8 +87,8 @@ def assert_lts_matches_reference(data, h):
 def assert_mcd_matches_reference(x, h):
     try:
         expected = reference_mcd(x, h)
-    except AllSubsetsDegenerate as err:
-        with pytest.raises(AllSubsetsDegenerate, match=re.escape(str(err))):
+    except AllStartsDegenerate as err:
+        with pytest.raises(AllStartsDegenerate, match=re.escape(str(err))):
             exact_mcd(x, h)
         return None
     assert_bit_identical(exact_mcd(x, h), expected)
@@ -133,7 +133,7 @@ class TestExactLts:
 
     def test_all_subsets_degenerate(self):
         data = make_dataset(np.ones(6), np.arange(6.0))
-        with pytest.raises(AllSubsetsDegenerate):
+        with pytest.raises(AllStartsDegenerate):
             exact_lts(data, 4)
 
     def test_h_below_k_plus_one(self, rng):

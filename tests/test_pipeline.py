@@ -19,7 +19,7 @@ from hibreak import (
     run_analysis,
 )
 from hibreak import errors
-from hibreak.cli import main
+from hibreak.cli import build_parser, main
 from hibreak.errors import DuplicateLabel, InputError, MissingColumn, NumericalError, ParseError
 from hibreak.ols import RegressionFit, t_and_p
 from hibreak.pipeline import AnalysisConfig, ModelSpec, report_to_dict
@@ -57,6 +57,17 @@ def mixed_outlier_instance():
     x[0], y[0] = 0.1, 1.0 + 2.0 * 0.1 + 0.25    # mild vertical outlier
     x[1], y[1] = -0.2, 1.0 + 2.0 * (-0.2) - 1.0  # severe vertical outlier
     return make_dataset(x, y)
+
+
+class TestModelSpec:
+    def test_names_are_stripped_and_empty_predictors_dropped(self):
+        model = ModelSpec(response=" y ", predictors=(" x1", "", "x2 ", " "))
+        assert (model.response, model.predictors) == ("y", ("x1", "x2"))
+
+    @pytest.mark.parametrize("predictors", [("x", "x"), ("x", " x")])
+    def test_repeated_predictor_rejected(self, predictors):
+        with pytest.raises(ValueError, match="name a column twice"):
+            ModelSpec(response="y", predictors=predictors)
 
 
 class TestLoadCsv:
@@ -105,6 +116,14 @@ class TestLoadCsv:
             load_csv(path, MODEL_XY)
         assert err.value.label == "b"
         assert main(["analyze", path, "--response", "y", "--predictors", "x1"]) == 2
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        text = "c,y,x1\na,1.0,2.0\nb,2.5,3.5\nc,0.5,1.0\n"
+        plain = load_csv(write_csv(tmp_path / "plain.csv", text), MODEL_XY)
+        spaced = text.replace("\nb,", "\n\nb,").replace("\nc,", "\n\n\nc,") + "\n"
+        data = load_csv(write_csv(tmp_path / "spaced.csv", spaced), MODEL_XY)
+        assert (data.row_labels, data.column_names) == (plain.row_labels, plain.column_names)
+        np.testing.assert_array_equal(data.values, plain.values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -509,6 +528,39 @@ class TestCli:
         code = main(["analyze", path, "--response", "y", "--predictors", "y"])
         assert code == 4
         assert capsys.readouterr().err.startswith("hibreak: bad flag value:")
+
+    def test_repeated_predictor_exit_4(self, tmp_path, capsys):
+        path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1,x1"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("hibreak: bad flag value:")
+
+    def test_padded_column_names_are_stripped(self, tmp_path, capsys):
+        path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
+        assert main(["analyze", path, "--response", "y", "--predictors", "x1"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["analyze", path, "--response", " y", "--predictors", " x1 ,"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["analyze", "f.csv", "--response", "y", "--predictors", "x"])
+        thresholds = DiagnosticThresholds()
+        assert args.alpha == LtsConfig().alpha
+        assert args.mcd_h == McdConfig().h_fraction
+        assert args.resid_cutoff == thresholds.residual_cutoff
+        assert args.severe_cutoff == thresholds.severe_residual_cutoff
+        assert args.distance_quantile == thresholds.distance_quantile
+        for config in (LtsConfig(), McdConfig()):  # one flag feeds both searches
+            assert (args.seed, args.starts) == (config.seed, config.n_starts)
+        assert args.format == AnalysisConfig(model=ModelSpec("y", ("x",))).output_format
+
+    def test_tsv_oracle_rows(self, tmp_path, capsys):
+        path = dataset_to_csv(clean_instance(n=12), tmp_path / "small.csv")
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1",
+                     "--format", "tsv", "--oracle"])
+        assert code == 0
+        names = [line.split("\t")[0] for line in capsys.readouterr().out.strip().split("\n")]
+        assert names[-2:] == ["oracle_lts", "oracle_mcd"]
 
     def test_bad_flag_exit_4(self, tmp_path, capsys):
         path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
