@@ -9,8 +9,10 @@ vertical outliers only when the residual is severe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,18 +118,103 @@ def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[
     return _records(residuals, distances, data.row_labels, thresholds, d_cut)
 
 
+# ---------------------------------------------------------------------------
+# Per-row JSON, written a column at a time
+# ---------------------------------------------------------------------------
+
+# The DiagnosticRecord field behind each per-row key of the report and the map.
+RECORD_FIELDS = {
+    "label": "row_label",
+    "sr": "standardized_residual",
+    "rd": "robust_distance",
+    "sr_cutoff": "residual_cutoff",
+    "rd_cutoff": "distance_cutoff",
+    "class": "classification",
+    "drop": "drop_recommended",
+}
+_CLASS_JSON = {member: json.dumps(member.value) for member in Classification}
+_MAP_KEYS = ("label", "rd", "sr", "class")
+
+
+def json_column(values: list) -> list[str] | None:
+    """json.dumps(v) of each v, from one C-encoder pass split at its item separator.
+
+    None if an item is a container, whose own separators would split it.
+    """
+    if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
+        return None
+    if values and all(map(operator.is_, values, itertools.repeat(values[0]))):
+        return [json.dumps(values[0])] * len(values)  # one object, such as a cutoff
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+
+
+def json_rows(columns: dict[str, list[str]], indent: str | None = None) -> list[str]:
+    """Each row of equal-length JSON text columns as an object, keys in the dict's order.
+
+    Without indent in json.dumps's default one-line form; with it in the
+    indent=2 form of an object nested at that indent.
+    """
+    if indent is None:
+        opening, separator, closing = "{", ", ", "}"
+    else:
+        opening, separator = "{\n" + indent + "  ", ",\n" + indent + "  "
+        closing = "\n" + indent + "}"
+    pieces = []
+    for i, (key, column) in enumerate(columns.items()):
+        pieces += [itertools.repeat((separator if i else opening) + json.dumps(key) + ": "), column]
+    if not pieces:
+        return []
+    return list(map("".join, zip(*pieces, itertools.repeat(closing))))
+
+
+def record_columns(records, keys) -> dict[str, list[str]] | None:
+    """The JSON text of the records' field under each key (see RECORD_FIELDS), by key.
+
+    None if a field holds a container; a class is written once per member.
+    """
+    columns = {}
+    for key in keys:
+        values = list(map(operator.attrgetter(RECORD_FIELDS[key]), records))
+        columns[key] = [_CLASS_JSON[v] for v in values] if key == "class" else json_column(values)
+    return None if None in columns.values() else columns
+
+
 @dataclass(eq=False)
 class PlotData:
-    """Outlier-map points plus the two cutoff lines, JSON/TSV serializable."""
+    """Outlier-map points plus the two cutoff lines, JSON/TSV serializable.
+
+    outlier_map's PlotData keeps its records and makes the point dicts when
+    points is first read; until then to_json writes from the records.
+    """
 
     points: list[dict]
     rd_cutoff: float
     sr_cutoff: float
+    _records = ()  # not a field
+
+    def __getattr__(self, name):  # reached only while an attribute is unset
+        if name != "points" or not self._records:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.points = [
+            {
+                "label": rec.row_label,
+                "rd": rec.robust_distance,
+                "sr": rec.standardized_residual,
+                "class": rec.classification.value,
+            }
+            for rec in self._records
+        ]
+        return self.points
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"points": self.points, "rd_cutoff": self.rd_cutoff, "sr_cutoff": self.sr_cutoff}
-        )
+        columns = None if "points" in vars(self) else record_columns(self._records, _MAP_KEYS)
+        if columns is None:
+            return json.dumps(
+                {"points": self.points, "rd_cutoff": self.rd_cutoff, "sr_cutoff": self.sr_cutoff}
+            )
+        points = ", ".join(json_rows(columns))
+        return (f'{{"points": [{points}], "rd_cutoff": {json.dumps(self.rd_cutoff)}, '
+                f'"sr_cutoff": {json.dumps(self.sr_cutoff)}}}')
 
     def to_tsv(self) -> str:
         lines = ["label\trd\tsr\tclass\trd_cutoff\tsr_cutoff"]
@@ -143,17 +230,8 @@ def outlier_map(records: list[DiagnosticRecord]) -> PlotData:
     """Plot data for the residual-versus-distance display."""
     if not records:
         raise ValueError("outlier_map needs at least one record")
-    points = [
-        {
-            "label": rec.row_label,
-            "rd": rec.robust_distance,
-            "sr": rec.standardized_residual,
-            "class": rec.classification.value,
-        }
-        for rec in records
-    ]
-    return PlotData(
-        points=points,
-        rd_cutoff=records[0].distance_cutoff,
-        sr_cutoff=records[0].residual_cutoff,
-    )
+    plot = PlotData.__new__(PlotData)  # points come from the records when first read
+    plot._records = tuple(records)
+    plot.rd_cutoff = records[0].distance_cutoff
+    plot.sr_cutoff = records[0].residual_cutoff
+    return plot

@@ -76,12 +76,17 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.nd
     return np.sum(z * z, axis=0)
 
 
+# |v| below this squares to a finite float: 2**512 is sqrt(2**1024), where doubles overflow.
+_ROOT_LIMIT = 2.0**512
+
+
 def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     """(kept, determinants, fit) of the classical moments of each subset of a (T, m) stack.
 
     As lts.evaluate_subsets, for the covariance (denominator m - 1): kept
-    drops subsets whose rows lie in a lower-dimensional affine subspace,
-    and fit(j) is the (mean, covariance) of subset kept[j].
+    drops subsets whose rows lie in a lower-dimensional affine subspace or
+    whose determinant is not finite, and fit(j) is the (mean, covariance)
+    of subset kept[j].
     """
     m = subsets.shape[1]
     xs = x[subsets]
@@ -90,11 +95,16 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     scatter = centered.swapaxes(1, 2) @ centered / (m - 1)
     cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
     low, ok = spd_factor(cov)
-    kept = np.flatnonzero(ok)
+    with np.errstate(over="ignore"):
+        roots = low[ok].diagonal(0, 1, 2).prod(axis=1).tolist()
     # Squared as Python floats (C pow), as factor_determinant squares one
     # matrix; an array's ** 2 multiplies and can move the last bit.
-    products = low[kept].diagonal(0, 1, 2).prod(axis=1).tolist()
-    objectives = np.array([v**2 for v in products])
+    try:
+        objectives = np.array([v**2 for v in roots])
+    except OverflowError:  # a determinant past the float range
+        objectives = np.array([v**2 if abs(v) < _ROOT_LIMIT else math.inf for v in roots])
+    finite = np.isfinite(objectives)  # a subset with no finite determinant is degenerate
+    kept, objectives = np.flatnonzero(ok)[finite], objectives[finite]
     return kept, objectives, lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
 
 
@@ -116,8 +126,12 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         low, ok = spd_factor(cov)
         with np.errstate(over="ignore", invalid="ignore"):
             precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
-        ok &= np.isfinite(precision).all(axis=(1, 2))  # pivots near underflow overflow it
-        return (mean, precision), factor_determinant(low), ok
+            det = factor_determinant(low)
+        # Pivots near underflow overflow the precision, and a spread near the float range
+        # the determinant: such a trial is degenerate. Its objective becomes 1, as for a
+        # matrix spd_factor rejects, so the phase loop's convergence test sees no inf - inf.
+        ok &= np.isfinite(precision).all(axis=(1, 2)) & np.isfinite(det)
+        return (mean, precision), np.where(ok, det, 1.0), ok
 
     def score(params):
         mean, precision = params

@@ -9,6 +9,7 @@ defaulted ones) so that no threshold stays silent.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -16,11 +17,15 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .diagnostics import (
+    RECORD_FIELDS,
     Classification,
     DiagnosticRecord,
     DiagnosticThresholds,
     classify_all,
     distance_cutoff,
+    json_column,
+    json_rows,
+    record_columns,
 )
 from .errors import DuplicateLabel, HibreakError, ParseError, PipelineStageError
 from .lts import LtsConfig, LtsFit, consistency_factor, fit_lts
@@ -82,9 +87,9 @@ class AnalysisReport:
     mcd_estimate: McdEstimate | None = field(default=None, repr=False)
 
 
-def _csv_rows(fh):
-    """The csv.reader rows of fh; text that is not UTF-8 or that csv rejects raises ParseError."""
-    reader = csv.reader(fh)
+def _csv_rows(raw: bytes):
+    """The csv.reader rows of raw; text that is not UTF-8 or that csv rejects raises ParseError."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
         yield from reader
     except csv.Error as err:
@@ -92,56 +97,105 @@ def _csv_rows(fh):
         raise ParseError(n_read, "", f"cannot read the CSV after {n_read} lines: {err}") from None
     except UnicodeDecodeError:
         # The text layer decodes ahead of the reader, so the bad line is found in the bytes.
-        with open(fh.name, "rb") as raw:
-            for row, line in enumerate(raw.read().splitlines()):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
+        for row, line in enumerate(raw.splitlines()):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
         raise
+
+
+def _parse_rows(raw: bytes) -> tuple[list[str], list[str], np.ndarray]:
+    """(header cells, row labels, values) of any CSV, row by row with csv and float().
+
+    ParseError carries the 1-based data row (blank lines count) and the column name.
+    """
+    reader = _csv_rows(raw)
+    header = next(reader, None)
+    if not header:
+        raise ParseError(0, "", "file has no header row")
+    columns = tuple(name.strip() for name in header[1:])
+    labels: list[str] = []
+    seen: set[str] = set()
+    rows: list[list[float]] = []
+    for i, cells in enumerate(reader, start=1):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ParseError(i, "", f"row {i} has {len(cells)} cells, expected {len(header)}")
+        label = cells[0].strip()
+        if label in seen:
+            raise DuplicateLabel(label)
+        seen.add(label)
+        parsed = []
+        for name, cell in zip(columns, cells[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(i, name) from None
+            if not math.isfinite(value):
+                raise ParseError(i, name, f"non-finite value at row {i}, column {name!r}")
+            parsed.append(value)
+        labels.append(label)
+        rows.append(parsed)
+    return header, labels, np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
+# Left to the csv module: quoting, the \r line end and NUL, and U+001C-U+001F,
+# which loadtxt strips from a cell as whitespace and float() does not.
+_ROW_PARSER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(raw: bytes) -> tuple[list[str], list[str], np.ndarray] | None:
+    """_parse_rows's result for a plain, valid file, from one np.loadtxt pass; else None.
+
+    loadtxt converts each cell with PyOS_string_to_double, as float() does, so
+    the values get the same bits. A file outside that lane (not UTF-8, a
+    character above, an empty header, a line over csv's field limit, a cell
+    count, label, cell or value the row parser would reject) gives None.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if (len(header) < 2 or any(char in text for char in _ROW_PARSER_CHARS)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    body = [line.partition(",") for line in lines[1:] if line]
+    labels = [label.strip() for label, _, _ in body]
+    cells = [rest for _, _, rest in body]
+    if not all(cells) or len(set(labels)) < len(labels):  # loadtxt skips an empty line
+        return None
+    width = len(header) - 1
+    try:
+        values = (np.loadtxt(cells, delimiter=",", comments=None, quotechar=None, ndmin=2)
+                  if cells else np.empty((0, width)))
+    except ValueError:  # a cell count that changes, or a cell loadtxt cannot convert
+        return None
+    if values.shape != (len(labels), width) or not np.isfinite(values).all():
+        return None
+    return header, labels, values
 
 
 def load_csv(path: str, model: ModelSpec) -> Dataset:
     """Read a dataset: header row, label column first, numeric cells.
 
     ParseError carries the 1-based data row and the offending column name;
-    NaN and infinite cells are rejected.
+    NaN and infinite cells are rejected. A plain file is read by one
+    np.loadtxt pass, any other by the csv module row by row; both give the
+    same values, bit for bit, and the same errors.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if not header:
-            raise ParseError(0, "", "file has no header row")
-        columns = tuple(name.strip() for name in header[1:])
-        labels: list[str] = []
-        seen: set[str] = set()
-        rows: list[list[float]] = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise ParseError(i, "", f"row {i} has {len(raw)} cells, expected {len(header)}")
-            label = raw[0].strip()
-            if label in seen:
-                raise DuplicateLabel(label)
-            seen.add(label)
-            parsed = []
-            for name, cell in zip(columns, raw[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(i, name) from None
-                if not math.isfinite(value):
-                    raise ParseError(i, name, f"non-finite value at row {i}, column {name!r}")
-                parsed.append(value)
-            labels.append(label)
-            rows.append(parsed)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header, labels, values = _read_plain(raw) or _parse_rows(raw)
     return Dataset(
         row_labels=tuple(labels),
-        column_names=columns,
+        column_names=tuple(name.strip() for name in header[1:]),
         response=model.response,
         predictors=model.predictors,
-        values=np.array(rows, dtype=float).reshape(len(rows), len(columns)),
+        values=values,
         has_intercept=model.has_intercept,
     )
 
@@ -270,26 +324,31 @@ def _fit_from_dict(d: dict) -> RegressionFit:
     return RegressionFit(**d)
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
+def _report_dict(report: AnalysisReport, diagnostics) -> dict:
     return {
         "config": report.config_echo,
         "ols": _fit_to_dict(report.ols_fit),
         "robust": _fit_to_dict(report.robust_fit),
-        "diagnostics": [
-            {
-                "label": rec.row_label,
-                "sr": rec.standardized_residual,
-                "rd": rec.robust_distance,
-                "sr_cutoff": rec.residual_cutoff,
-                "rd_cutoff": rec.distance_cutoff,
-                "class": rec.classification.value,
-                "drop": rec.drop_recommended,
-            }
-            for rec in report.diagnostics
-        ],
+        "diagnostics": diagnostics,
         "dropped": [{"label": row.label, "reason": row.reason} for row in report.dropped],
         "comparison": report.comparison,
     }
+
+
+def report_to_dict(report: AnalysisReport) -> dict:
+    rows = [
+        {
+            "label": rec.row_label,
+            "sr": rec.standardized_residual,
+            "rd": rec.robust_distance,
+            "sr_cutoff": rec.residual_cutoff,
+            "rd_cutoff": rec.distance_cutoff,
+            "class": rec.classification.value,
+            "drop": rec.drop_recommended,
+        }
+        for rec in report.diagnostics
+    ]
+    return _report_dict(report, rows)
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -420,41 +479,46 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
-def _column(values: list) -> list[str] | None:
-    """json.dumps(v) of each v, from one C-encoder pass split at its item separator."""
-    if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
-        return None
-    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+class _Columns:
+    """A non-empty list of flat dicts, held as the JSON text column of each key in key order."""
+
+    def __init__(self, columns: dict[str, list[str]]):
+        self.columns = columns
 
 
-def _rows(rows: list, indent: str) -> list[str] | None:
-    """The items of a list of flat dicts that share one set of str keys, else None."""
+def _dict_columns(rows: list) -> _Columns | None:
+    """The columns of a list of flat dicts that share one set of str keys, else None."""
     first = rows[0]
     if not (type(first) is dict and first and all(type(key) is str for key in first)
             and all(type(row) is dict and row.keys() == first.keys() for row in rows)):
         return None
-    keys = sorted(first)
-    columns = [_column([row[key] for row in rows]) for key in keys]
-    if None in columns:
-        return None
-    fields_ = ",".join(f"\n{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
-    template = "{" + fields_ + "\n" + indent + "}"
-    return [template % row for row in zip(*columns)]
+    columns = {key: json_column([row[key] for row in rows]) for key in sorted(first)}
+    return None if None in columns.values() else _Columns(columns)
+
+
+def _items(value, indent: str) -> list[str] | None:
+    """The item texts of a non-empty list of scalars or of flat dicts, or of _Columns, else None."""
+    if isinstance(value, list) and value:
+        items = json_column(value)
+        if items is not None:
+            return items
+        value = _dict_columns(value)
+    return json_rows(value.columns, indent) if isinstance(value, _Columns) else None
 
 
 def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2) at nesting indent, byte for byte.
 
     Dicts that hold a list are walked, and lists of scalars or of flat dicts (a report's
-    per-row parts) are written a column at a time. json.dumps writes the rest; its
-    ensure_ascii output holds no raw newline, so it can be re-indented and split.
+    per-row parts), and _Columns, are written a column at a time. json.dumps writes the
+    rest; its ensure_ascii output holds no raw newline, so it can be re-indented and split.
     """
     inner = indent + "  "
-    if (isinstance(value, dict) and any(isinstance(v, list) and v for v in value.values())
-            and all(type(key) is str for key in value)):
+    if (isinstance(value, dict) and all(type(key) is str for key in value)
+            and any(isinstance(v, _Columns) or isinstance(v, list) and v for v in value.values())):
         items = [f"{json.dumps(key)}: {_dumps(v, inner)}" for key, v in sorted(value.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if isinstance(value, list) and value and (items := _column(value) or _rows(value, inner)):
+    if items := _items(value, inner):
         return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
@@ -462,7 +526,9 @@ def _dumps(value, indent: str = "") -> str:
 def render_report(report: AnalysisReport, fmt: str, oracle: dict | None = None) -> str:
     """Render a report as markdown, lossless JSON, or machine-joinable TSV."""
     if fmt == "json":
-        d = report_to_dict(report)
+        # The diagnostics rows go from the records to their columns, with no dict per row.
+        columns = report.diagnostics and record_columns(report.diagnostics, sorted(RECORD_FIELDS))
+        d = _report_dict(report, _Columns(columns)) if columns else report_to_dict(report)
         if oracle is not None:
             d["oracle"] = oracle
         return _dumps(d)

@@ -4,7 +4,7 @@ import pytest
 from hibreak import McdConfig, exact_mcd, fit_mcd, mcd_c_step, robust_distances
 from hibreak.core_stats import mean_and_cov
 from hibreak.errors import AllStartsDegenerate, ConstantColumn, NotPositiveDefinite
-from hibreak.mcd import scatter_consistency_factor, subset_size
+from hibreak.mcd import evaluate_subsets, scatter_consistency_factor, subset_size
 
 from conftest import random_points
 
@@ -132,6 +132,21 @@ class TestFitMcd:
         x[7, 0] = 4.33932732e-158
         with pytest.raises(AllStartsDegenerate):
             fit_mcd(x)
+
+    @pytest.mark.parametrize("scale", [1e140, 1e150])
+    def test_determinant_past_the_float_range_degenerates(self, scale):
+        # the moments are finite, but every determinant (about scale**4) is not
+        x = np.random.default_rng(0).standard_normal((30, 2)) * scale
+        with pytest.raises(AllStartsDegenerate):
+            fit_mcd(x)
+
+    def test_subset_with_an_infinite_determinant_is_dropped_alone(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e100, 0.0], [0.0, 1e100]])
+        kept, det, fit = evaluate_subsets(x, np.array([[2, 3, 4], [0, 1, 2], [1, 3, 4]]))
+        alone = evaluate_subsets(x, np.array([[0, 1, 2]]))
+        assert kept.tolist() == [1]
+        assert det.tobytes() == alone[1].tobytes()
+        np.testing.assert_array_equal(fit(0)[1], alone[2](0)[1])
 
     def test_constant_column(self, rng):
         x = np.column_stack([np.ones(12), rng.normal(size=12)])

@@ -599,6 +599,7 @@ class TestCli:
             ("negative_seed", 4, "hibreak: bad flag value:"),
             ("nan_cutoff", 4, "hibreak: bad flag value:"),
             ("overflowing_cell", 3, "hibreak: numerical failure: stage 'ols':"),
+            ("huge_no_intercept", 3, "hibreak: numerical failure: stage 'mcd':"),
         ],
     )
     def test_error_exits_without_traceback(self, tmp_path, capsys, recwarn, case, code, prefix):
@@ -619,6 +620,11 @@ class TestCli:
             path.write_text("c,y,x1,x1\n" + body.replace("\n", ",1\n"), encoding="utf-8")
         elif case == "overflowing_cell":  # finite, but its square is not
             path.write_text(good + "huge,1e200,12\n", encoding="utf-8")
+        elif case == "huge_no_intercept":  # finite moments, but no finite MCD determinant
+            cells = np.random.default_rng(0).standard_normal((30, 3)) * 1e150
+            rows = "".join(f"r{i},{y!r},{a!r},{b!r}\n" for i, (y, a, b) in enumerate(cells.tolist()))
+            path.write_text("c,y,x1,x2\n" + rows, encoding="utf-8")
+            flags = ["--no-intercept", "--predictors", "x1,x2"]
         elif case == "negative_seed":
             flags = ["--seed", "-1"]
         else:
