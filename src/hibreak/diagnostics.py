@@ -143,8 +143,6 @@ def json_column(values: list) -> list[str] | None:
     """
     if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
         return None
-    if values and all(map(operator.is_, values, itertools.repeat(values[0]))):
-        return [json.dumps(values[0])] * len(values)  # one object, such as a cutoff
     return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
 

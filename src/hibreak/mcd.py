@@ -96,15 +96,12 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
     low, ok = spd_factor(cov)
     with np.errstate(over="ignore"):
-        roots = low[ok].diagonal(0, 1, 2).prod(axis=1).tolist()
+        roots = low[ok].diagonal(0, 1, 2).prod(axis=1)
+    finite = np.abs(roots) < _ROOT_LIMIT  # a subset with no finite determinant is degenerate
+    kept = np.flatnonzero(ok)[finite]
     # Squared as Python floats (C pow), as factor_determinant squares one
     # matrix; an array's ** 2 multiplies and can move the last bit.
-    try:
-        objectives = np.array([v**2 for v in roots])
-    except OverflowError:  # a determinant past the float range
-        objectives = np.array([v**2 if abs(v) < _ROOT_LIMIT else math.inf for v in roots])
-    finite = np.isfinite(objectives)  # a subset with no finite determinant is degenerate
-    kept, objectives = np.flatnonzero(ok)[finite], objectives[finite]
+    objectives = np.array([v**2 for v in roots[finite].tolist()])
     return kept, objectives, lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
 
 
