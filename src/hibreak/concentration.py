@@ -189,6 +189,7 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
                   bool(converged[kept[best]]), n_csteps + refine_steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_search(
     make_model: Callable[[np.ndarray, int], Model], n: int, dim: int, h: int, config
 ) -> Search:
@@ -201,7 +202,9 @@ def run_search(
     with none), their union screens the rows the n_best_kept best of each
     select, and concentrate takes the rows the best of those select on
     every row. A phase on m rows uses subsets of ceil(m h / n) rows;
-    n_csteps counts the C-steps of all phases.
+    n_csteps counts the C-steps of all phases. Overflow is silent in the
+    whole search: a model's fit marks a trial whose objective or estimate
+    is not finite as degenerate.
     """
     if h >= n or n <= NESTED_MIN_N:
         starts = np.arange(n)[None] if h >= n else draw_starts(n, dim, config)

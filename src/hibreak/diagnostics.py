@@ -122,35 +122,38 @@ def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[
 # Per-row JSON, written a column at a time
 # ---------------------------------------------------------------------------
 
-# The DiagnosticRecord field behind each per-row key of the report and the map.
+# The DiagnosticRecord attribute behind each per-row key: the report writes all of
+# them in key order, the outlier map the first four in this order.
 RECORD_FIELDS = {
     "label": "row_label",
-    "sr": "standardized_residual",
     "rd": "robust_distance",
-    "sr_cutoff": "residual_cutoff",
-    "rd_cutoff": "distance_cutoff",
+    "sr": "standardized_residual",
     "class": "classification",
+    "rd_cutoff": "distance_cutoff",
+    "sr_cutoff": "residual_cutoff",
     "drop": "drop_recommended",
 }
-_CLASS_JSON = {member: json.dumps(member.value) for member in Classification}
-_MAP_KEYS = ("label", "rd", "sr", "class")
 
 
-def json_column(values: list) -> list[str] | None:
+def json_column(values, dumps=json.dumps) -> list[str]:
     """json.dumps(v) of each v, from one C-encoder pass split at its item separator.
 
-    None if an item is a container, whose own separators would split it.
+    A column that holds a container, whose own separators would split it,
+    is written item by item with dumps instead.
     """
     if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
-        return None
-    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+        return list(map(dumps, values))
+    # ensure_ascii escapes a newline inside an item, so only the separators split
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") if values else []
 
 
-def json_rows(columns: dict[str, list[str]], indent: str | None = None) -> list[str]:
-    """Each row of equal-length JSON text columns as an object, keys in the dict's order.
+def json_rows(records, fields, indent: str | None = None, dumps=json.dumps) -> list[str]:
+    """Each record as a JSON object of its attribute under each key of the (key, attribute) fields.
 
-    Without indent in json.dumps's default one-line form; with it in the
-    indent=2 form of an object nested at that indent.
+    Keys come in the order of fields. Without indent in json.dumps's default
+    one-line form; with it in the indent=2 form of an object nested at that
+    indent, where dumps writes a container value. The text of one key is
+    one column (json_column), so no dict is made per record.
     """
     if indent is None:
         opening, separator, closing = "{", ", ", "}"
@@ -158,23 +161,10 @@ def json_rows(columns: dict[str, list[str]], indent: str | None = None) -> list[
         opening, separator = "{\n" + indent + "  ", ",\n" + indent + "  "
         closing = "\n" + indent + "}"
     pieces = []
-    for i, (key, column) in enumerate(columns.items()):
+    for i, (key, attribute) in enumerate(fields):
+        column = json_column(list(map(operator.attrgetter(attribute), records)), dumps)
         pieces += [itertools.repeat((separator if i else opening) + json.dumps(key) + ": "), column]
-    if not pieces:
-        return []
-    return list(map("".join, zip(*pieces, itertools.repeat(closing))))
-
-
-def record_columns(records, keys) -> dict[str, list[str]] | None:
-    """The JSON text of the records' field under each key (see RECORD_FIELDS), by key.
-
-    None if a field holds a container; a class is written once per member.
-    """
-    columns = {}
-    for key in keys:
-        values = list(map(operator.attrgetter(RECORD_FIELDS[key]), records))
-        columns[key] = [_CLASS_JSON[v] for v in values] if key == "class" else json_column(values)
-    return None if None in columns.values() else columns
+    return list(map("".join, zip(*pieces, [closing] * len(records))))
 
 
 @dataclass(eq=False)
@@ -205,13 +195,11 @@ class PlotData:
         return self.points
 
     def to_json(self) -> str:
-        columns = None if "points" in vars(self) else record_columns(self._records, _MAP_KEYS)
-        if columns is None:
-            return json.dumps(
-                {"points": self.points, "rd_cutoff": self.rd_cutoff, "sr_cutoff": self.sr_cutoff}
-            )
-        points = ", ".join(json_rows(columns))
-        return (f'{{"points": [{points}], "rd_cutoff": {json.dumps(self.rd_cutoff)}, '
+        if "points" in vars(self):
+            points = json_column(self.points)
+        else:
+            points = json_rows(self._records, list(RECORD_FIELDS.items())[:4])
+        return (f'{{"points": [{", ".join(points)}], "rd_cutoff": {json.dumps(self.rd_cutoff)}, '
                 f'"sr_cutoff": {json.dumps(self.sr_cutoff)}}}')
 
     def to_tsv(self) -> str:

@@ -122,7 +122,8 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
         low, ok = spd_factor(sums[:, : k * k].reshape(-1, k, k))
         beta = cho_apply(low, sums[:, k * k :])
         r2 = (y - beta @ x.T) ** 2
-        return (beta, r2), np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1), ok
+        objective = np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1)
+        return (beta, r2), objective, ok & np.isfinite(objective)  # overflowed: degenerate
 
     return Model(terms=terms, fit=fit, score=lambda params: params[1],
                  refit=lambda subsets: evaluate_subsets(x, y, subsets, h))

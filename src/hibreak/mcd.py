@@ -121,14 +121,12 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         second = sums[:, p:].reshape(-1, p, p) / count
         cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
         low, ok = spd_factor(cov)
-        with np.errstate(over="ignore", invalid="ignore"):
-            precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
-            det = factor_determinant(low)
+        precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
+        det = factor_determinant(low)
         # Pivots near underflow overflow the precision, and a spread near the float range
-        # the determinant: such a trial is degenerate. Its objective becomes 1, as for a
-        # matrix spd_factor rejects, so the phase loop's convergence test sees no inf - inf.
+        # the determinant: such a trial is degenerate.
         ok &= np.isfinite(precision).all(axis=(1, 2)) & np.isfinite(det)
-        return (mean, precision), np.where(ok, det, 1.0), ok
+        return (mean, precision), det, ok
 
     def score(params):
         mean, precision = params

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +168,13 @@ def t_and_p(
     return t, np.clip(p, 0.0, 1.0)
 
 
+def _finite(*sums):
+    """sums as given; NumericalError if one holds a value past the float range."""
+    if not all(np.isfinite(total).all() for total in sums):
+        raise NumericalError("sum of squares overflows: the data are too large in magnitude")
+    return sums
+
+
 def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> RegressionFit:
     """OLS fit of the dataset's model, optionally excluding labelled rows.
 
@@ -190,8 +196,8 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
     if n_used < k + 1:
         raise TooFewRows(f"{n_used} rows after exclusion cannot support {k} coefficients")
 
-    xtx = x.T @ x
-    xty = x.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx, xty = _finite(x.T @ x, x.T @ y)
     try:
         low = cholesky_spd(xtx)
     except NotPositiveDefinite as err:
@@ -200,10 +206,8 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
 
     residuals = y - x @ beta
     with np.errstate(over="ignore", invalid="ignore"):
-        rss = float(residuals @ residuals)
         tss = float(np.sum((y - y.mean()) ** 2)) if data.has_intercept else float(y @ y)
-    if not (math.isfinite(rss) and math.isfinite(tss)):
-        raise NumericalError("sum of squares overflows: the data are too large in magnitude")
+        rss, tss = _finite(float(residuals @ residuals), tss)
     df_resid = n_used - k
     sigma2 = rss / df_resid
     se = np.sqrt(sigma2 * spd_inverse_diag(low))

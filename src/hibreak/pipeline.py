@@ -25,7 +25,6 @@ from .diagnostics import (
     distance_cutoff,
     json_column,
     json_rows,
-    record_columns,
 )
 from .errors import DuplicateLabel, HibreakError, ParseError, PipelineStageError
 from .lts import LtsConfig, LtsFit, consistency_factor, fit_lts
@@ -324,13 +323,13 @@ def _fit_from_dict(d: dict) -> RegressionFit:
     return RegressionFit(**d)
 
 
-def _report_dict(report: AnalysisReport, diagnostics) -> dict:
+def _report_dict(report: AnalysisReport, diagnostics, dropped) -> dict:
     return {
         "config": report.config_echo,
         "ols": _fit_to_dict(report.ols_fit),
         "robust": _fit_to_dict(report.robust_fit),
         "diagnostics": diagnostics,
-        "dropped": [{"label": row.label, "reason": row.reason} for row in report.dropped],
+        "dropped": dropped,
         "comparison": report.comparison,
     }
 
@@ -348,7 +347,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
         }
         for rec in report.diagnostics
     ]
-    return _report_dict(report, rows)
+    dropped = [{"label": row.label, "reason": row.reason} for row in report.dropped]
+    return _report_dict(report, rows, dropped)
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -479,56 +479,47 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
-class _Columns:
-    """A non-empty list of flat dicts, held as the JSON text column of each key in key order."""
+@dataclass(frozen=True)
+class _Rows:
+    """Records that _dumps writes as a list of objects: the attribute under each key of fields."""
 
-    def __init__(self, columns: dict[str, list[str]]):
-        self.columns = columns
-
-
-def _dict_columns(rows: list) -> _Columns | None:
-    """The columns of a list of flat dicts that share one set of str keys, else None."""
-    first = rows[0]
-    if not (type(first) is dict and first and all(type(key) is str for key in first)
-            and all(type(row) is dict and row.keys() == first.keys() for row in rows)):
-        return None
-    columns = {key: json_column([row[key] for row in rows]) for key in sorted(first)}
-    return None if None in columns.values() else _Columns(columns)
+    records: list
+    fields: dict[str, str]
 
 
-def _items(value, indent: str) -> list[str] | None:
-    """The item texts of a non-empty list of scalars or of flat dicts, or of _Columns, else None."""
-    if isinstance(value, list) and value:
-        items = json_column(value)
-        if items is not None:
-            return items
-        value = _dict_columns(value)
-    return json_rows(value.columns, indent) if isinstance(value, _Columns) else None
+# The DroppedRow attribute behind each key of the report's dropped ledger.
+_DROPPED_FIELDS = {f.name: f.name for f in fields(DroppedRow)}
 
 
 def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2) at nesting indent, byte for byte.
 
-    Dicts that hold a list are walked, and lists of scalars or of flat dicts (a report's
-    per-row parts), and _Columns, are written a column at a time. json.dumps writes the
-    rest; its ensure_ascii output holds no raw newline, so it can be re-indented and split.
+    Dicts with str keys that hold a list or _Rows are walked, lists are
+    written a column at a time (json_column), and _Rows a key at a time
+    (json_rows), with their keys sorted. json.dumps writes the rest; its
+    ensure_ascii output holds no raw newline, so it can be re-indented.
     """
     inner = indent + "  "
-    if (isinstance(value, dict) and all(type(key) is str for key in value)
-            and any(isinstance(v, _Columns) or isinstance(v, list) and v for v in value.values())):
+    if (isinstance(value, dict) and any(isinstance(v, (list, _Rows)) for v in value.values())
+            and all(type(key) is str for key in value)):
         items = [f"{json.dumps(key)}: {_dumps(v, inner)}" for key, v in sorted(value.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if items := _items(value, inner):
-        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    if isinstance(value, _Rows):
+        items = json_rows(value.records, sorted(value.fields.items()), inner,
+                          lambda v: _dumps(v, inner + "  "))
+    elif isinstance(value, list):
+        items = json_column(value, lambda v: _dumps(v, inner))
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
 
 
 def render_report(report: AnalysisReport, fmt: str, oracle: dict | None = None) -> str:
     """Render a report as markdown, lossless JSON, or machine-joinable TSV."""
     if fmt == "json":
-        # The diagnostics rows go from the records to their columns, with no dict per row.
-        columns = report.diagnostics and record_columns(report.diagnostics, sorted(RECORD_FIELDS))
-        d = _report_dict(report, _Columns(columns)) if columns else report_to_dict(report)
+        # The per-row parts go from the records to their columns, with no dict per row.
+        d = _report_dict(report, _Rows(report.diagnostics, RECORD_FIELDS),
+                         _Rows(report.dropped, _DROPPED_FIELDS))
         if oracle is not None:
             d["oracle"] = oracle
         return _dumps(d)

@@ -18,6 +18,7 @@ from hibreak import pipeline
 from hibreak.errors import DuplicateLabel, ParseError
 from hibreak.pipeline import (
     AnalysisConfig,
+    DroppedRow,
     ModelSpec,
     load_csv,
     render_report,
@@ -238,7 +239,7 @@ RECORD_SETS = {
     "single": odd_records()[:1],
     "own_cutoffs": [DiagnosticRecord(f"r{i}", -0.0, 0.0, 2.5 + i, 1.0 / (i + 1),
                                      Classification.REGULAR, False) for i in range(4)],
-    # a container cell cannot be split out of one encoder pass: both writers fall back
+    # a container cell cannot be split out of one encoder pass: its column goes item by item
     "tuple_label": [DiagnosticRecord(("a", 1), 0.5, 1.0, 2.5, 2.7, Classification.REGULAR, False)],
 }
 
@@ -251,6 +252,22 @@ def test_report_json_matches_json_dumps(name):
     oracle = {"lts": {"exact_objective": 1.0, "heuristic_objective": 1.0, "match": True}}
     with_oracle = {**report_to_dict(report), "oracle": oracle}
     assert render_report(report, "json", oracle) == json.dumps(with_oracle, sort_keys=True, indent=2)
+
+
+def test_report_json_with_no_rows():
+    # no map: outlier_map rejects an empty record list
+    report = report_with([])
+    report.dropped = []
+    assert render_report(report, "json") == json.dumps(report_to_dict(report), sort_keys=True,
+                                                       indent=2)
+
+
+@pytest.mark.parametrize("label", [*ODD_LABELS, ("a", 1)])
+def test_dropped_ledger_json_matches_json_dumps(label):
+    report = report_with(odd_records())
+    report.dropped = [DroppedRow(label, 'reason "%s"\n'), DroppedRow("plain", "")]
+    expected = json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    assert render_report(report, "json") == expected
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_SETS))

@@ -222,6 +222,13 @@ class TestFitLts:
         with pytest.raises(AllStartsDegenerate):
             fit_lts(data, LtsConfig(alpha=0.25))
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_objective_past_the_float_range_degenerates(self, scale):
+        # pytest turns a RuntimeWarning into an error, so the overflow must stay silent
+        x, y = np.random.default_rng(0).standard_normal((2, 30)) * scale
+        with pytest.raises(AllStartsDegenerate):
+            fit_lts(make_dataset(x, y))
+
     def test_csteps_counted_and_converged(self, rng):
         data = random_regression(rng, 40, 2, outlier_fraction=0.2)
         fit = fit_lts(data, LtsConfig(alpha=0.25, seed=4))

@@ -133,7 +133,7 @@ class TestFitMcd:
         with pytest.raises(AllStartsDegenerate):
             fit_mcd(x)
 
-    @pytest.mark.parametrize("scale", [1e140, 1e150])
+    @pytest.mark.parametrize("scale", [1e140, 1e150, 1e155, 1e160])
     def test_determinant_past_the_float_range_degenerates(self, scale):
         # the moments are finite, but every determinant (about scale**4) is not
         x = np.random.default_rng(0).standard_normal((30, 2)) * scale

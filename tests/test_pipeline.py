@@ -600,6 +600,7 @@ class TestCli:
             ("nan_cutoff", 4, "hibreak: bad flag value:"),
             ("overflowing_cell", 3, "hibreak: numerical failure: stage 'ols':"),
             ("huge_no_intercept", 3, "hibreak: numerical failure: stage 'mcd':"),
+            ("huge_cells", 3, "hibreak: numerical failure: stage 'ols':"),
         ],
     )
     def test_error_exits_without_traceback(self, tmp_path, capsys, recwarn, case, code, prefix):
@@ -625,6 +626,11 @@ class TestCli:
             rows = "".join(f"r{i},{y!r},{a!r},{b!r}\n" for i, (y, a, b) in enumerate(cells.tolist()))
             path.write_text("c,y,x1,x2\n" + rows, encoding="utf-8")
             flags = ["--no-intercept", "--predictors", "x1,x2"]
+        elif case == "huge_cells":  # finite cells, but X'X overflows
+            cells = np.random.default_rng(0).standard_normal((30, 3)) * 1e160
+            rows = "".join(f"r{i},{y!r},{a!r},{b!r}\n" for i, (y, a, b) in enumerate(cells.tolist()))
+            path.write_text("c,y,x1,x2\n" + rows, encoding="utf-8")
+            flags = ["--predictors", "x1,x2"]
         elif case == "negative_seed":
             flags = ["--seed", "-1"]
         else:
