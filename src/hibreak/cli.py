@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 unreadable or unusable input (InputError, OSError),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .diagnostics import DiagnosticThresholds, outlier_map
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process, built on the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hibreak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,17 +59,45 @@ class DiagnosticRecord:
     drop_recommended: bool
 
 
+class DiagnosticList(UserList):
+    """classify_all's value: a list of DiagnosticRecord, built when first read as one.
+
+    Until then its rows are its columns (record_columns); len and truth
+    read them. Not a list subclass, whose storage C code would read empty.
+    """
+
+    def __getattr__(self, name):  # reached only while an attribute is unset
+        if name != "data" or "columns" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        c = self.columns
+        self.data = [
+            DiagnosticRecord(label, sr, rd, c["sr_cutoff"], c["rd_cutoff"], _CLASS_OF_VALUE[cls], drop)
+            for label, sr, rd, cls, drop in zip(c["label"], c["sr"], c["rd"], c["class"], c["drop"])
+        ]
+        return self.data
+
+    def __len__(self):
+        return len(self.data if "data" in vars(self) else self.columns["label"])
+
+    def __iter__(self):
+        return iter(self.data)
+
+    __copy__ = UserList.copy  # UserList.__copy__ reads the records out of __dict__
+
+
 def distance_cutoff(thresholds: DiagnosticThresholds, p: int) -> float:
     """Leverage cutoff sqrt(chi2_quantile(distance_quantile, p)); DomainError if p < 1."""
     return math.sqrt(chi2_quantile(thresholds.distance_quantile, p))
 
 
-# In definition order, indexed by 2 * (distance >= cutoff) + (|residual| >= cutoff).
-_CLASSES = tuple(Classification)
+# Each class by its value; in definition order, the values are indexed by
+# 2 * (distance >= cutoff) + (|residual| >= cutoff).
+_CLASS_OF_VALUE = {member.value: member for member in Classification}
+_CLASS_VALUES = tuple(_CLASS_OF_VALUE)
 
 
-def _records(residuals, distances, labels, thresholds, d_cut) -> list[DiagnosticRecord]:
-    """The four-way rule and the drop rule for whole arrays, one record per label.
+def _records(residuals, distances, labels, thresholds, d_cut) -> DiagnosticList:
+    """The four-way rule and the drop rule for whole arrays, as the columns of one row per label.
 
     NaN compares false, so a NaN residual or distance never counts as big.
     """
@@ -80,12 +109,13 @@ def _records(residuals, distances, labels, thresholds, d_cut) -> list[Diagnostic
     # Bad leverage always drops; a vertical outlier only when severe.
     drop = big_residual & (big_distance | (size >= thresholds.severe_residual_cutoff))
     codes = 2 * big_distance + big_residual
-    return [
-        DiagnosticRecord(label, r, d, thresholds.residual_cutoff, d_cut, _CLASSES[c], dr)
-        for label, r, d, c, dr in zip(
-            labels, residuals.tolist(), distances.tolist(), codes.tolist(), drop.tolist()
-        )
-    ]
+    rows = DiagnosticList.__new__(DiagnosticList)  # no UserList.__init__: data stays unset
+    rows.columns = {
+        "label": list(labels), "rd": distances.tolist(), "sr": residuals.tolist(),
+        "class": list(map(_CLASS_VALUES.__getitem__, codes.tolist())),
+        "rd_cutoff": d_cut, "sr_cutoff": thresholds.residual_cutoff, "drop": drop.tolist(),
+    }
+    return rows
 
 
 def classify(
@@ -105,8 +135,11 @@ def classify(
     return _records([standardized_residual], [robust_distance], [row_label], thresholds, d_cut)[0]
 
 
-def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> list[DiagnosticRecord]:
-    """One DiagnosticRecord per dataset row, in row order; the cutoff is computed once."""
+def classify_all(lts_fit, mcd_estimate, data: Dataset, thresholds=None) -> DiagnosticList:
+    """One DiagnosticRecord per dataset row, in row order; the cutoff is computed once.
+
+    A DiagnosticList: its records are made when first read, the writers read its columns.
+    """
     thresholds = thresholds or DiagnosticThresholds()
     residuals = lts_fit.standardized_residuals
     distances = mcd_estimate.robust_distances
@@ -133,6 +166,21 @@ RECORD_FIELDS = {
     "sr_cutoff": "residual_cutoff",
     "drop": "drop_recommended",
 }
+_MAP_KEYS = tuple(RECORD_FIELDS)[:4]
+
+
+def record_columns(records) -> dict:
+    """{key: column} of records for each RECORD_FIELDS key, a class as its value: one list per key.
+
+    A DiagnosticList whose records are unbuilt gives its own columns, in
+    which each cutoff is one value that every row shares.
+    """
+    if isinstance(records, DiagnosticList) and "data" not in vars(records):
+        return records.columns
+    columns = {key: list(map(operator.attrgetter(attribute), records))
+               for key, attribute in RECORD_FIELDS.items()}
+    columns["class"] = [member.value for member in columns["class"]]
+    return columns
 
 
 def json_column(values, dumps=json.dumps) -> list[str]:
@@ -147,77 +195,68 @@ def json_column(values, dumps=json.dumps) -> list[str]:
     return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") if values else []
 
 
-def json_rows(records, fields, indent: str | None = None, dumps=json.dumps) -> list[str]:
-    """Each record as a JSON object of its attribute under each key of the (key, attribute) fields.
+def json_rows(columns: dict, indent: str | None = None, dumps=json.dumps) -> list[str]:
+    """Rows as JSON objects: row i holds item i of each {key: column} of columns, in key order.
 
-    Keys come in the order of fields. Without indent in json.dumps's default
-    one-line form; with it in the indent=2 form of an object nested at that
-    indent, where dumps writes a container value. The text of one key is
-    one column (json_column), so no dict is made per record.
+    A column is a list with an item per row, or one value (not a list)
+    that every row shares, written once. Without indent in json.dumps's
+    default one-line form; with it in the indent=2 form of an object nested
+    at that indent, where dumps writes a container value. The text of one
+    key is one column (json_column), so no dict is made per row.
     """
     if indent is None:
         opening, separator, closing = "{", ", ", "}"
     else:
         opening, separator = "{\n" + indent + "  ", ",\n" + indent + "  "
         closing = "\n" + indent + "}"
+    n = min(len(values) for values in columns.values() if isinstance(values, list))
     pieces = []
-    for i, (key, attribute) in enumerate(fields):
-        column = json_column(list(map(operator.attrgetter(attribute), records)), dumps)
-        pieces += [itertools.repeat((separator if i else opening) + json.dumps(key) + ": "), column]
-    return list(map("".join, zip(*pieces, [closing] * len(records))))
+    for i, (key, values) in enumerate(columns.items()):
+        texts = (json_column(values, dumps) if isinstance(values, list)
+                 else itertools.repeat(dumps(values)))
+        pieces += [itertools.repeat((separator if i else opening) + json.dumps(key) + ": "), texts]
+    return list(map("".join, zip(*pieces, [closing] * n)))
 
 
 @dataclass(eq=False)
 class PlotData:
     """Outlier-map points plus the two cutoff lines, JSON/TSV serializable.
 
-    outlier_map's PlotData keeps its records and makes the point dicts when
-    points is first read; until then to_json writes from the records.
+    outlier_map's PlotData keeps the label, rd, sr and class columns and
+    makes the point dicts when points is first read; until then to_json
+    writes from the columns.
     """
 
     points: list[dict]
     rd_cutoff: float
     sr_cutoff: float
-    _records = ()  # not a field
+    _columns = None  # not a field
 
     def __getattr__(self, name):  # reached only while an attribute is unset
-        if name != "points" or not self._records:
+        if name != "points" or self._columns is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.points = [
-            {
-                "label": rec.row_label,
-                "rd": rec.robust_distance,
-                "sr": rec.standardized_residual,
-                "class": rec.classification.value,
-            }
-            for rec in self._records
-        ]
+        self.points = [dict(zip(_MAP_KEYS, row)) for row in zip(*self._columns.values())]
         return self.points
 
     def to_json(self) -> str:
-        if "points" in vars(self):
-            points = json_column(self.points)
-        else:
-            points = json_rows(self._records, list(RECORD_FIELDS.items())[:4])
+        points = json_column(self.points) if "points" in vars(self) else json_rows(self._columns)
         return (f'{{"points": [{", ".join(points)}], "rd_cutoff": {json.dumps(self.rd_cutoff)}, '
                 f'"sr_cutoff": {json.dumps(self.sr_cutoff)}}}')
 
     def to_tsv(self) -> str:
-        lines = ["label\trd\tsr\tclass\trd_cutoff\tsr_cutoff"]
-        for pt in self.points:
-            lines.append(
-                f"{pt['label']}\t{pt['rd']!r}\t{pt['sr']!r}\t{pt['class']}"
-                f"\t{self.rd_cutoff!r}\t{self.sr_cutoff!r}"
-            )
-        return "\n".join(lines) + "\n"
+        cutoffs = f"\t{self.rd_cutoff!r}\t{self.sr_cutoff!r}\n"  # the same on every line
+        lines = [f"{pt['label']}\t{pt['rd']!r}\t{pt['sr']!r}\t{pt['class']}{cutoffs}"
+                 for pt in self.points]
+        return "label\trd\tsr\tclass\trd_cutoff\tsr_cutoff\n" + "".join(lines)
 
 
 def outlier_map(records: list[DiagnosticRecord]) -> PlotData:
-    """Plot data for the residual-versus-distance display."""
+    """Plot data for the residual-versus-distance display; the cutoffs are the first row's."""
     if not records:
         raise ValueError("outlier_map needs at least one record")
-    plot = PlotData.__new__(PlotData)  # points come from the records when first read
-    plot._records = tuple(records)
-    plot.rd_cutoff = records[0].distance_cutoff
-    plot.sr_cutoff = records[0].residual_cutoff
+    columns = record_columns(records)
+    plot = PlotData.__new__(PlotData)  # points come from the columns when first read
+    plot._columns = {key: columns[key] for key in _MAP_KEYS}
+    plot.rd_cutoff, plot.sr_cutoff = (cut[0] if isinstance(cut, list) else cut
+                                      for cut in (columns["rd_cutoff"], columns["sr_cutoff"]))
     return plot

@@ -137,6 +137,7 @@ def lts_objective(data: Dataset, beta: np.ndarray, h: int) -> float:
     return float(_objective(r2, h))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the documented error
 def c_step(
     data: Dataset, beta: np.ndarray, h: int
 ) -> tuple[np.ndarray, float, np.ndarray]:

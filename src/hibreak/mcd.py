@@ -138,6 +138,7 @@ def _search_model(x: np.ndarray, h: int) -> Model:
                  refit=lambda subsets: evaluate_subsets(x, subsets))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the documented error
 def mcd_c_step(
     x: np.ndarray, center: np.ndarray, scatter: np.ndarray, h: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -57,6 +57,7 @@ def _chunks(n: int, h: int, width: int):
         yield flat.reshape(-1, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the documented error
 def _enumerate(n: int, h: int, width: int, evaluate, degenerate: str) -> OracleResult:
     """Lowest objective over every h-subset in lexicographic order; the first minimum wins.
 

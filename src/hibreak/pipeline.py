@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -25,6 +27,7 @@ from .diagnostics import (
     distance_cutoff,
     json_column,
     json_rows,
+    record_columns,
 )
 from .errors import DuplicateLabel, HibreakError, ParseError, PipelineStageError
 from .lts import LtsConfig, LtsFit, consistency_factor, fit_lts
@@ -77,7 +80,7 @@ class AnalysisReport:
     behind it, kept for checks such as --oracle and not serialized."""
 
     ols_fit: RegressionFit
-    diagnostics: list[DiagnosticRecord]
+    diagnostics: Sequence[DiagnosticRecord]  # classify_all's DiagnosticList, or any list
     dropped: list[DroppedRow]
     robust_fit: RegressionFit
     config_echo: dict
@@ -269,17 +272,12 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
     mcd_est = stage("mcd", fit_mcd, data.predictor_matrix(), config.mcd)
     records = stage("diagnostics", classify_all, lts_fit, mcd_est, data, config.thresholds)
 
+    c = record_columns(records)
     dropped = [
-        DroppedRow(
-            label=rec.row_label,
-            reason=(
-                f"{rec.classification.value}: abs(standardized residual)="
-                f"{abs(rec.standardized_residual):.4g}, robust distance="
-                f"{rec.robust_distance:.4g}"
-            ),
-        )
-        for rec in records
-        if rec.drop_recommended
+        DroppedRow(label, f"{cls}: abs(standardized residual)={abs(sr):.4g}, "
+                          f"robust distance={rd:.4g}")
+        for label, cls, sr, rd in itertools.compress(
+            zip(c["label"], c["class"], c["sr"], c["rd"]), c["drop"])
     ]
     robust_fit = stage("refit", fit_ols, data, {row.label for row in dropped})
 
@@ -358,16 +356,9 @@ def report_from_json(text: str) -> AnalysisReport:
         ols_fit=_fit_from_dict(d["ols"]),
         robust_fit=_fit_from_dict(d["robust"]),
         diagnostics=[
-            DiagnosticRecord(
-                row_label=rec["label"],
-                standardized_residual=rec["sr"],
-                robust_distance=rec["rd"],
-                residual_cutoff=rec["sr_cutoff"],
-                distance_cutoff=rec["rd_cutoff"],
-                classification=Classification(rec["class"]),
-                drop_recommended=rec["drop"],
-            )
-            for rec in d["diagnostics"]
+            DiagnosticRecord(**{attribute: row[key] for key, attribute in RECORD_FIELDS.items()}
+                             | {"classification": Classification(row["class"])})
+            for row in d["diagnostics"]
         ],
         dropped=[DroppedRow(label=row["label"], reason=row["reason"]) for row in d["dropped"]],
         config_echo=d["config"],
@@ -420,12 +411,11 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
         "| Row | Std. residual | Robust distance | Class | Drop |",
         "|---|---|---|---|---|",
     ]
-    for rec in report.diagnostics:
-        out.append(
-            f"| {rec.row_label} | {_sig(rec.standardized_residual, signed=True)} "
-            f"| {_sig(rec.robust_distance)} | {rec.classification.value} "
-            f"| {'yes' if rec.drop_recommended else 'no'} |"
-        )
+    c = record_columns(report.diagnostics)
+    out += [
+        f"| {label} | {_sig(sr, signed=True)} | {_sig(rd)} | {cls} | {'yes' if drop else 'no'} |"
+        for label, sr, rd, cls, drop in zip(c["label"], c["sr"], c["rd"], c["class"], c["drop"])
+    ]
     out += ["", "## Dropped observations", ""]
     if report.dropped:
         out += ["| Row | Reason |", "|---|---|"]
@@ -479,34 +469,25 @@ def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Records that _dumps writes as a list of objects: the attribute under each key of fields."""
-
-    records: list
-    fields: dict[str, str]
-
-
-# The DroppedRow attribute behind each key of the report's dropped ledger.
-_DROPPED_FIELDS = {f.name: f.name for f in fields(DroppedRow)}
+class _Rows(dict):
+    """{key: column} that _dumps writes as a list of objects, one per row (json_rows)."""
 
 
 def _dumps(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2) at nesting indent, byte for byte.
 
-    Dicts with str keys that hold a list or _Rows are walked, lists are
+    Plain dicts with str keys that hold a list or _Rows are walked, lists are
     written a column at a time (json_column), and _Rows a key at a time
     (json_rows), with their keys sorted. json.dumps writes the rest; its
     ensure_ascii output holds no raw newline, so it can be re-indented.
     """
     inner = indent + "  "
-    if (isinstance(value, dict) and any(isinstance(v, (list, _Rows)) for v in value.values())
+    if (type(value) is dict and any(isinstance(v, (list, _Rows)) for v in value.values())
             and all(type(key) is str for key in value)):
         items = [f"{json.dumps(key)}: {_dumps(v, inner)}" for key, v in sorted(value.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
     if isinstance(value, _Rows):
-        items = json_rows(value.records, sorted(value.fields.items()), inner,
-                          lambda v: _dumps(v, inner + "  "))
+        items = json_rows(dict(sorted(value.items())), inner, lambda v: _dumps(v, inner + "  "))
     elif isinstance(value, list):
         items = json_column(value, lambda v: _dumps(v, inner))
     else:
@@ -517,9 +498,9 @@ def _dumps(value, indent: str = "") -> str:
 def render_report(report: AnalysisReport, fmt: str, oracle: dict | None = None) -> str:
     """Render a report as markdown, lossless JSON, or machine-joinable TSV."""
     if fmt == "json":
-        # The per-row parts go from the records to their columns, with no dict per row.
-        d = _report_dict(report, _Rows(report.diagnostics, RECORD_FIELDS),
-                         _Rows(report.dropped, _DROPPED_FIELDS))
+        # The per-row parts are written a column at a time, with no dict per row.
+        ledger = {f.name: [getattr(row, f.name) for row in report.dropped] for f in fields(DroppedRow)}
+        d = _report_dict(report, _Rows(record_columns(report.diagnostics)), _Rows(ledger))
         if oracle is not None:
             d["oracle"] = oracle
         return _dumps(d)

@@ -297,3 +297,19 @@ def test_evaluators_match_reference_at_refit_sizes(n, p):
     subsets = np.array([np.sort(rng.choice(n, size=h, replace=False)) for _ in range(10)])
     assert_evaluator_matches(lambda s: mcd.evaluate_subsets(points, s), subsets,
                              lambda rows: mcd_subset(points, rows))
+
+
+HUGE_CLOUD = np.random.default_rng(0).standard_normal((12, 2)) * 1e160
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda data: exact_lts(data, 9), AllStartsDegenerate, id="exact_lts"),
+    pytest.param(lambda data: exact_mcd(HUGE_CLOUD, 9), AllStartsDegenerate, id="exact_mcd"),
+    pytest.param(lambda data: lts.c_step(data, np.ones(2), 9), NotPositiveDefinite, id="c_step"),
+    pytest.param(lambda data: mcd.mcd_c_step(HUGE_CLOUD, np.zeros(2), np.eye(2), 9),
+                 NotPositiveDefinite, id="mcd_c_step"),
+])
+def test_overflow_raises_the_documented_error_silently(call, error):
+    # squares of cells near 1e160 overflow; the pytest config turns a RuntimeWarning into an error
+    with pytest.raises(error):
+        call(make_dataset(HUGE_CLOUD[:, 0], HUGE_CLOUD[:, 1]))

@@ -542,6 +542,9 @@ class TestCli:
         assert main(["analyze", path, "--response", " y", "--predictors", " x1 ,"]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["analyze", "f.csv", "--response", "y", "--predictors", "x"])
         thresholds = DiagnosticThresholds()
