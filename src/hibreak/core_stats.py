@@ -10,6 +10,7 @@ from itertools import count, islice
 from statistics import NormalDist
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NotPositiveDefinite
 
@@ -31,15 +32,9 @@ def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     never fails the others.
     """
     a = np.asarray(a, dtype=float)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:  # LAPACK rejected some matrix: find which
-        low = np.full_like(a, np.nan)
-        for t, matrix in enumerate(a):
-            try:
-                low[t] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                pass
+    # No public numpy function factors a stack and reports failures per matrix.
+    with np.errstate(all="ignore"):
+        low = _umath_linalg.cholesky_lo(a, signature="d->d")
     smallest_pivot = (low.diagonal(0, -2, -1) ** 2).min(-1)  # NaN where LAPACK failed
     ok = smallest_pivot > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
     low[~ok] = np.eye(a.shape[-1])
@@ -98,7 +93,8 @@ def cho_apply(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def factor_determinant(low: np.ndarray) -> np.ndarray:
     """Determinant of L @ L.T from its lower factor (or a stack of factors)."""
-    return low.diagonal(0, -2, -1).prod(-1) ** 2
+    root = low.diagonal(0, -2, -1).prod(-1)
+    return root * root  # rounds correctly; a scalar's ** 2 is C pow, which need not
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -100,17 +100,18 @@ def evaluate_subsets(x: np.ndarray, y: np.ndarray, subsets: np.ndarray, h: int):
     """(kept, objectives, fit) of OLS on each row subset of a (T, m) stack.
 
     kept indexes, in stack order, the subsets whose normal equations pass
-    the pivot test; objectives are their sums of the h smallest squared
-    residuals over all rows; fit(j) gives the coefficients of subset
-    kept[j]. The oracle, the search's refit and c_step all use this.
+    the pivot test and whose objective, the sum of the h smallest squared
+    residuals over all rows, is finite; fit(j) gives the coefficients of
+    subset kept[j]. The oracle, the search's refit and c_step all use this.
     """
     xs = x[subsets]
     xt = xs.swapaxes(1, 2)
     low, ok = spd_factor(xt @ xs)
     rhs = (xt @ y[subsets][..., None])[..., 0]
-    kept = np.flatnonzero(ok)
-    beta = cho_apply(low[kept], rhs[kept])  # elementwise: each subset's bits as if alone
-    return kept, _objective(_squared_residuals(x, y, beta), h), lambda j: beta[j].copy()
+    beta = cho_apply(low, rhs)  # elementwise: each subset's bits as if alone
+    objective = _objective(_squared_residuals(x, y, beta), h)
+    kept = np.flatnonzero(ok & np.isfinite(objective))  # overflowed: degenerate
+    return kept, objective[kept], lambda j: beta[kept[j]].copy()
 
 
 def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
@@ -150,8 +151,8 @@ def c_step(
     floating point it can by rounding, as when beta is an exact fit of h
     rows: the objective 0.0 becomes the refit's rounding residue (3.9e-31
     in one case). NotPositiveDefinite means the selected rows are collinear
-    and the trial should be discarded; ValueError means h lies outside
-    [1, n].
+    or their objective overflows, and the trial should be discarded;
+    ValueError means h lies outside [1, n].
     """
     if not 1 <= h <= data.n:
         raise ValueError(f"h must lie in [1, {data.n}], got {h}")
@@ -159,7 +160,7 @@ def c_step(
     subset = lowest_rows(_squared_residuals(x, y, np.asarray(beta, float)), h)
     kept, objective, fit = evaluate_subsets(x, y, subset[None], h)
     if not kept.size:
-        raise NotPositiveDefinite("the selected rows are collinear")
+        raise NotPositiveDefinite("the selected rows are collinear or their objective overflows")
     return fit(0), float(objective[0]), subset
 
 

@@ -76,10 +76,6 @@ def _mahalanobis_sq(x: np.ndarray, center: np.ndarray, low: np.ndarray) -> np.nd
     return np.sum(z * z, axis=0)
 
 
-# |v| below this squares to a finite float: 2**512 is sqrt(2**1024), where doubles overflow.
-_ROOT_LIMIT = 2.0**512
-
-
 def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     """(kept, determinants, fit) of the classical moments of each subset of a (T, m) stack.
 
@@ -96,13 +92,9 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
     low, ok = spd_factor(cov)
     with np.errstate(over="ignore"):
-        roots = low[ok].diagonal(0, 1, 2).prod(axis=1)
-    finite = np.abs(roots) < _ROOT_LIMIT  # a subset with no finite determinant is degenerate
-    kept = np.flatnonzero(ok)[finite]
-    # Squared as Python floats (C pow), as factor_determinant squares one
-    # matrix; an array's ** 2 multiplies and can move the last bit.
-    objectives = np.array([v**2 for v in roots[finite].tolist()])
-    return kept, objectives, lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
+        det = factor_determinant(low)
+    kept = np.flatnonzero(ok & np.isfinite(det))
+    return kept, det[kept], lambda j: (center[kept[j]].copy(), cov[kept[j]].copy())
 
 
 def _search_model(x: np.ndarray, h: int) -> Model:

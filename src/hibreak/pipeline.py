@@ -258,7 +258,9 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
     refit. Deterministic for fixed seeds. Stage failures re-raise as
     PipelineStageError naming the stage.
     """
-    if data.response != config.model.response or data.predictors != config.model.predictors:
+    model = config.model
+    if (data.response, data.predictors, data.has_intercept) != (
+            model.response, model.predictors, model.has_intercept):
         raise ValueError("config model does not match the dataset's designations")
 
     def stage(name, fn, *args, **kwargs):

@@ -113,6 +113,14 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("a, b, match", [
+        pytest.param(np.ones((2, 3)), np.ones(2), "square matrix", id="non_square"),
+        pytest.param(np.eye(2), np.array([1.0, np.inf]), "must be finite", id="non_finite_rhs"),
+    ])
+    def test_malformed_input_rejected(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            solve_spd(a, b)
+
 
 # ---------------------------------------------------------------------------
 # Scalar Cholesky path (shared by the oracles, the LTS/MCD refit and OLS)
@@ -294,6 +302,10 @@ class TestChi2:
         qs = [chi2_quantile(p, 3) for p in np.linspace(0.01, 0.99, 25)]
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
+    def test_bad_df(self):
+        with pytest.raises(DomainError):
+            chi2_cdf(1.0, 0)
+
     def test_cdf_against_chdtr(self):
         for df in range(1, 31):
             for x in np.geomspace(1e-6, 200.0, 41):
@@ -414,6 +426,10 @@ class TestMeanAndCov:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             mean_and_cov(np.ones((2, 2)))
+
+    def test_not_two_dimensional(self):
+        with pytest.raises(ValueError, match="n x p matrix"):
+            mean_and_cov(np.arange(5.0))
 
 
 class TestDeterminant:

@@ -163,6 +163,10 @@ class TestFitMcd:
         with pytest.raises(ValueError):
             fit_mcd(rng.normal(size=(5, 2)), McdConfig())
 
+    def test_not_two_dimensional(self, rng):
+        with pytest.raises(ValueError, match="n x p matrix"):
+            fit_mcd(rng.normal(size=12))
+
 
 class TestRobustDistances:
     def test_center_maps_to_zero(self, rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,19 @@ class TestFitOls:
                 values=np.arange(12.0).reshape(4, 3),
             )
 
+    @pytest.mark.parametrize("change, match", [
+        pytest.param({"values": np.arange(12.0).reshape(4, 3)}, "named columns", id="shape"),
+        pytest.param({"row_labels": ("a", "b", "c")}, "row count", id="row_labels"),
+        pytest.param({"values": np.array([[1.0, 2.0], [3.0, np.inf], [5.0, 6.0], [7.0, 8.0]])},
+                     "finite", id="non_finite"),
+        pytest.param({"predictors": ("x1", "y")}, "also a predictor", id="response_as_predictor"),
+    ])
+    def test_malformed_dataset_rejected(self, change, match):
+        fields = dict(row_labels=("a", "b", "c", "d"), column_names=("y", "x1"), response="y",
+                      predictors=("x1",), values=np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError, match=match):
+            Dataset(**{**fields, **change})
+
     def test_no_intercept_r_squared_uncentered(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         fit = fit_ols(make_dataset(x, 2.0 * x, has_intercept=False))
@@ -193,3 +208,9 @@ class TestPredict:
         )
         with pytest.raises(MissingColumn):
             predict(fit, slim)
+
+    def test_width_mismatch(self):
+        data = make_dataset(np.arange(5.0), np.arange(5.0) ** 2)
+        fit = replace(fit_ols(data), has_intercept=False)  # two coefficients, one column
+        with pytest.raises(MissingColumn, match="design width 1"):
+            predict(fit, data)

@@ -205,7 +205,7 @@ class TestChunkedMatchesLoop:
         expected = assert_mcd_matches_reference(x, 6)
         low = cholesky_spd(expected.coefficients_or_moments[1])
         product = low.diagonal().prod()
-        assert product * product != expected.best_objective
+        assert product * product == expected.best_objective != product ** 2
 
     def test_staircase_exact_fit(self):
         data = make_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 100.0])
@@ -232,6 +232,20 @@ class TestChunkedMatchesLoop:
         assert expected.n_subsets_evaluated < math.comb(10, 6)
         expected = assert_mcd_matches_reference(dummy, 6)
         assert expected.n_subsets_evaluated < math.comb(10, 6)
+
+    def test_dummy_designs_rejected_mid_chunk(self, rng):
+        # the 0/1 column is 0 on every row of some h-subsets between the first
+        # and the last in lexicographic order; their normal equations and
+        # covariances have an exactly zero pivot, which LAPACK rejects
+        dummy = np.isin(np.arange(12), [0, 5, 11]).astype(float)
+        x = np.column_stack([rng.normal(size=12), dummy])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.cov(x[dummy == 0][:8], rowvar=False))
+        data = make_dataset(x, x @ [0.5, 4.0] + rng.normal(size=12))
+        expected = assert_lts_matches_reference(data, 7)
+        assert expected.n_subsets_evaluated == math.comb(12, 7) - math.comb(9, 7)
+        expected = assert_mcd_matches_reference(x, 8)
+        assert expected.n_subsets_evaluated == math.comb(12, 8) - math.comb(9, 8)
 
     def test_exact_ties_go_to_first_subset(self):
         # rows 0 and 1 are the same y-outlier, so dropping either gives the
@@ -300,6 +314,7 @@ def test_evaluators_match_reference_at_refit_sizes(n, p):
 
 
 HUGE_CLOUD = np.random.default_rng(0).standard_normal((12, 2)) * 1e160
+HUGE_RESPONSE = make_dataset(HUGE_CLOUD[:, 0] / 1e160, HUGE_CLOUD[:, 1] * 1e40)  # y near 1e200
 
 
 @pytest.mark.parametrize("call, error", [
@@ -308,8 +323,13 @@ HUGE_CLOUD = np.random.default_rng(0).standard_normal((12, 2)) * 1e160
     pytest.param(lambda data: lts.c_step(data, np.ones(2), 9), NotPositiveDefinite, id="c_step"),
     pytest.param(lambda data: mcd.mcd_c_step(HUGE_CLOUD, np.zeros(2), np.eye(2), 9),
                  NotPositiveDefinite, id="mcd_c_step"),
+    pytest.param(lambda data: exact_lts(HUGE_RESPONSE, 9), AllStartsDegenerate,
+                 id="exact_lts_huge_response"),
+    pytest.param(lambda data: lts.c_step(HUGE_RESPONSE, np.zeros(2), 9), NotPositiveDefinite,
+                 id="c_step_huge_response"),
 ])
 def test_overflow_raises_the_documented_error_silently(call, error):
-    # squares of cells near 1e160 overflow; the pytest config turns a RuntimeWarning into an error
+    # squares of cells near 1e160, and a trimmed sum of squares of y near
+    # 1e200, overflow; the pytest config turns a RuntimeWarning into an error
     with pytest.raises(error):
         call(make_dataset(HUGE_CLOUD[:, 0], HUGE_CLOUD[:, 1]))

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,8 +224,10 @@ class TestRunAnalysis:
 
     def test_model_mismatch_rejected(self):
         data = clean_instance()
-        with pytest.raises(ValueError):
-            run_analysis(data, AnalysisConfig(model=ModelSpec("y", ("x2",))))
+        # other predictors; or no intercept, which would render a const row it never fit
+        for has_intercept, model in ((True, ModelSpec("y", ("x2",))), (False, MODEL_XY)):
+            with pytest.raises(ValueError, match="does not match"):
+                run_analysis(replace(data, has_intercept=has_intercept), AnalysisConfig(model=model))
 
     def test_stage_failures_name_their_stage(self):
         from hibreak.errors import PipelineStageError
@@ -256,8 +259,15 @@ class TestRunAnalysis:
         lambda: McdConfig(seed=-1),
         lambda: DiagnosticThresholds(residual_cutoff=float("nan")),
         lambda: DiagnosticThresholds(severe_residual_cutoff=float("nan")),
+        lambda: LtsConfig(n_starts=0),
+        lambda: McdConfig(n_best_kept=0),
+        lambda: LtsConfig(max_csteps=0),
+        lambda: DiagnosticThresholds(distance_quantile=1.0),
+        lambda: ModelSpec("y", (" ", "")),
+        lambda: AnalysisConfig(model=MODEL_XY, output_format="html"),
     ],
-    ids=["lts_seed", "mcd_seed", "residual_nan", "severe_nan"],
+    ids=["lts_seed", "mcd_seed", "residual_nan", "severe_nan", "n_starts", "n_best_kept",
+         "max_csteps", "distance_quantile", "no_predictor", "output_format"],
 )
 def test_negative_seed_and_nan_cutoff_rejected(make):
     with pytest.raises(ValueError):
