@@ -14,7 +14,7 @@ of both papers).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -106,10 +106,47 @@ def _draw(rng: np.random.Generator, n: int, dim: int, count: int) -> np.ndarray:
     return out
 
 
+def _table(m: int, k: int, tables: dict) -> np.ndarray:
+    """The k-subsets of range(m) in lexicographic order by Pascal's rule, made once per tables."""
+    if (m, k) not in tables:
+        if k in (0, m):
+            tables[m, k] = np.arange(k)[None]
+        else:
+            head, tail = _table(m - 1, k - 1, tables), _table(m - 1, k, tables)
+            both = tables[m, k] = np.zeros((len(head) + len(tail), k), dtype=np.intp)
+            np.add(head, 1, out=both[: len(head), 1:])
+            np.add(tail, 1, out=both[len(head) :])
+    return tables[m, k]
+
+
+def lexicographic_chunks(n: int, r: int, size: int):
+    """(T, r) arrays of the r-subsets of range(n) in lexicographic order; T = size but in the last.
+
+    A node is a prefix, then n - m + the k-subsets of range(m): a shifted _table once at most
+    size subsets share the prefix (so m <= size). The tables live for one call, m calls deep.
+    """
+    tables = {}
+    chunk, filled, nodes = np.empty((min(size, math.comb(n, r)), r), dtype=np.intp), 0, [((), n)]
+    while nodes:  # depth first, without recursion: a prefix can be thousands of rows long
+        prefix, m = nodes.pop()
+        if math.comb(m, r - len(prefix)) > size:  # those with n - m first, then those without
+            nodes += [(prefix, m - 1), (prefix + (n - m,), m - 1)]
+            continue
+        rows = _table(m, r - len(prefix), tables)
+        while len(rows):
+            block = chunk[filled : filled + len(rows)]
+            block[:, : len(prefix)] = prefix
+            np.add(rows[: len(block)], n - m, out=block[:, len(prefix) :])
+            rows, filled = rows[len(block) :], filled + len(block)
+            if filled == len(chunk) or not (nodes or len(rows)):
+                yield chunk[:filled]
+                chunk, filled = np.empty_like(chunk), 0
+
+
 def draw_starts(n: int, dim: int, config) -> np.ndarray:
     """(T, dim+1) start rows: every subset on small instances, else seeded draws."""
     if n <= EXHAUSTIVE_MAX_N and dim <= EXHAUSTIVE_MAX_DIM:
-        return np.array(list(itertools.combinations(range(n), dim + 1)))
+        return next(lexicographic_chunks(n, dim + 1, math.comb(n, dim + 1)))
     return _draw(np.random.default_rng(config.seed), n, dim, config.n_starts)
 
 

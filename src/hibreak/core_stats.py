@@ -24,19 +24,20 @@ _NEWTON_LAST_STEP = 1e-9  # in log(x); Newton's next error is about its square
 
 
 def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a (T, K, K) stack of symmetric matrices via LAPACK.
+    """Lower Cholesky factors of a float (T, K, K) stack of symmetric matrices via LAPACK.
 
     ok[t] is False when LAPACK rejects a[t] or it fails the relative pivot
     test, every L[j, j]**2 > PIVOT_RTOL * max(diag(a[t])), the signature of
     collinear input; that factor becomes the identity, so one bad matrix
-    never fails the others.
+    never fails the others. The factors are stored stack axis innermost
+    (Fortran order), so that reductions over their diagonals, here and in
+    factor_determinant, run along the stack, not as T reductions over K.
     """
-    a = np.asarray(a, dtype=float)
     # No public numpy function factors a stack and reports failures per matrix.
     with np.errstate(all="ignore"):
-        low = _umath_linalg.cholesky_lo(a, signature="d->d")
-    smallest_pivot = (low.diagonal(0, -2, -1) ** 2).min(-1)  # NaN where LAPACK failed
-    ok = smallest_pivot > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
+        low = _umath_linalg.cholesky_lo(a, signature="d->d", out=np.empty(a.shape, order="F"))
+    # min(L[j, j])**2 is min(L[j, j]**2): a pivot is positive, or NaN where LAPACK failed
+    ok = low.diagonal(0, -2, -1).min(-1) ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
     low[~ok] = np.eye(a.shape[-1])
     return low, ok
 

@@ -111,11 +111,17 @@ def _records(residuals, distances, labels, thresholds, d_cut) -> DiagnosticList:
     codes = 2 * big_distance + big_residual
     rows = DiagnosticList.__new__(DiagnosticList)  # no UserList.__init__: data stays unset
     rows.columns = {
-        "label": list(labels), "rd": distances.tolist(), "sr": residuals.tolist(),
+        "label": list(labels), "rd": _Column(distances.tolist()), "sr": _Column(residuals.tolist()),
         "class": list(map(_CLASS_VALUES.__getitem__, codes.tolist())),
         "rd_cutoff": d_cut, "sr_cutoff": thresholds.residual_cutoff, "drop": drop.tolist(),
     }
     return rows
+
+
+class _Column(list):
+    """A float column of a DiagnosticList: json_column encodes it once and keeps the texts on it."""
+
+    texts = None
 
 
 def classify(
@@ -189,6 +195,9 @@ def json_column(values, dumps=json.dumps) -> list[str]:
     A column that holds a container, whose own separators would split it,
     is written item by item with dumps instead.
     """
+    if isinstance(values, _Column):
+        values.texts = values.texts or json_column(list(values))  # a plain list: encoded below
+        return values.texts
     if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values))):
         return list(map(dumps, values))
     # ensure_ascii escapes a newline inside an item, so only the separators split

@@ -104,10 +104,10 @@ def evaluate_subsets(x: np.ndarray, y: np.ndarray, subsets: np.ndarray, h: int):
     residuals over all rows, is finite; fit(j) gives the coefficients of
     subset kept[j]. The oracle, the search's refit and c_step all use this.
     """
-    xs = x[subsets]
+    xs = np.take(x, subsets, axis=0)  # x[subsets], bit for bit and C-contiguous, at less cost
     xt = xs.swapaxes(1, 2)
     low, ok = spd_factor(xt @ xs)
-    rhs = (xt @ y[subsets][..., None])[..., 0]
+    rhs = (xt @ np.take(y, subsets)[..., None])[..., 0]
     beta = cho_apply(low, rhs)  # elementwise: each subset's bits as if alone
     objective = _objective(_squared_residuals(x, y, beta), h)
     kept = np.flatnonzero(ok & np.isfinite(objective))  # overflowed: degenerate

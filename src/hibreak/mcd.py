@@ -85,7 +85,7 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     of subset kept[j].
     """
     m = subsets.shape[1]
-    xs = x[subsets]
+    xs = np.take(x, subsets, axis=0)  # x[subsets], bit for bit and C-contiguous, at less cost
     center = xs.sum(axis=1) / m
     centered = xs - center[:, None, :]
     scatter = centered.swapaxes(1, 2) @ centered / (m - 1)

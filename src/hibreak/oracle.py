@@ -15,7 +15,6 @@ concentration._BLOCK_ELEMENTS.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,21 +41,6 @@ class OracleResult:
     n_subsets_evaluated: int
 
 
-def _chunks(n: int, h: int, width: int):
-    """(T, h) arrays of consecutive lexicographic h-subsets of range(n).
-
-    T * n * width stays within concentration._BLOCK_ELEMENTS (at least one
-    subset), which bounds every (T, n) and (T, h, width) array of a chunk.
-    """
-    size = max(1, concentration._BLOCK_ELEMENTS // (n * width))
-    combos = itertools.combinations(range(n), h)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, size)), dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, h)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the documented error
 def _enumerate(n: int, h: int, width: int, evaluate, degenerate: str) -> OracleResult:
     """Lowest objective over every h-subset in lexicographic order; the first minimum wins.
@@ -66,11 +50,13 @@ def _enumerate(n: int, h: int, width: int, evaluate, degenerate: str) -> OracleR
     """
     if h > n:
         raise ValueError(f"h={h} exceeds n={n}")
-    if math.comb(n, h) > MAX_SUBSETS:
-        raise TooLarge(f"C({n}, {h}) = {math.comb(n, h)} exceeds {MAX_SUBSETS} subsets")
+    if math.comb(n, h) > MAX_SUBSETS:  # the count itself can be too long to print
+        raise TooLarge(f"C({n}, {h}) exceeds {MAX_SUBSETS} subsets")
     best = None
     evaluated = 0
-    for subsets in _chunks(n, h, width):
+    # T * n * width within the budget (or T = 1) bounds every (T, n) and (T, h, width) array
+    size = max(1, concentration._BLOCK_ELEMENTS // (n * width))
+    for subsets in concentration.lexicographic_chunks(n, h, size):
         kept, objectives, fit = evaluate(subsets)
         if not kept.size:
             continue

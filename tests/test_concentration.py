@@ -261,6 +261,16 @@ class TestStartDraw:
         starts = concentration.draw_starts(n, dim, LtsConfig(seed=5))
         np.testing.assert_array_equal(starts, list(itertools.combinations(range(n), dim + 1)))
 
+    def test_exhaustive_starts_are_the_combinations_in_one_array(self, monkeypatch):
+        # one lexicographic array whatever the chunk budget
+        monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", 1)
+        for n in range(1, concentration.EXHAUSTIVE_MAX_N + 1):
+            for dim in range(min(n, concentration.EXHAUSTIVE_MAX_DIM + 1)):
+                starts = concentration.draw_starts(n, dim, LtsConfig(seed=5))
+                expected = np.array(list(itertools.combinations(range(n), dim + 1)))
+                assert starts.dtype == expected.dtype
+                np.testing.assert_array_equal(starts, expected)
+
 
 def full_search_lts(data, config):
     """fit_lts's search without subsamples: concentrate on every row."""

@@ -1,7 +1,9 @@
 """Primitives are checked against independent routes: quadrature of the
 explicit densities, bisection on erf, and hand cofactor expansions."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hibreak import (
     solve_spd,
     student_t_cdf,
 )
-from hibreak.core_stats import cho_apply, cholesky_spd, spd_factor, substitute
+from hibreak.core_stats import PIVOT_RTOL, cho_apply, cholesky_spd, factor_determinant, spd_factor
+from hibreak.core_stats import substitute
 from hibreak.errors import DomainError, NotPositiveDefinite
 
 from conftest import random_regression
@@ -145,6 +148,56 @@ def scalar_cho_solve(low, b):
         for i in range(j):
             x[i] -= low[j][i] * x[j]
     return x
+
+
+def factor_alone(a):
+    """spd_factor's (factor, ok) for one matrix, written per matrix and per pivot."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return np.eye(len(a)), False
+    cut = PIVOT_RTOL * max(np.diag(a).tolist())
+    if not all(v * v > cut for v in np.diag(low).tolist()):  # NaN fails
+        return np.eye(len(a)), False
+    return low, True
+
+
+def determinant_alone(low):
+    """factor_determinant of one factor: the pivots multiplied in index order, then squared."""
+    root = functools.reduce(operator.mul, np.diag(low).tolist())
+    return root * root
+
+
+def reduction_stack(rng, k):
+    """SPD matrices at unit, huge and tiny scale, and between them an exactly zero pivot
+    (LAPACK rejects it: NaN), a NaN entry (a NaN pivot) and a tiny pivot."""
+    good = [random_spd(rng, k) for _ in range(3)]
+    zero_pivot = np.diag(np.r_[np.ones(k - 1), 0.0])
+    nan_entry = good[0].copy()
+    nan_entry[-1, -1] = np.nan
+    tiny_pivot = np.diag(np.r_[np.ones(k - 1), 1e-14])
+    return np.stack([good[0], zero_pivot, good[1] * 1e300, nan_entry, good[2] * 1e-300,
+                     tiny_pivot, good[1]])
+
+
+class TestStackReductions:
+    @pytest.mark.parametrize("k", [1, 2, 4, 11])
+    def test_pivot_test_and_determinant_match_each_matrix(self, rng, k):
+        a = reduction_stack(rng, k)
+        low, ok = spd_factor(a)
+        with np.errstate(over="ignore", under="ignore"):  # a determinant at 1e300 overflows
+            det = factor_determinant(low)
+            for t, matrix in enumerate(a):
+                want_low, want_ok = factor_alone(matrix)
+                assert ok[t] == want_ok
+                np.testing.assert_array_equal(low[t], want_low)
+                assert det[t] == determinant_alone(want_low)
+                # one matrix as 2-D input
+                alone_low, alone_ok = spd_factor(matrix)
+                assert alone_ok == want_ok
+                np.testing.assert_array_equal(alone_low, want_low)
+                assert factor_determinant(want_low) == det[t]
+        assert ok.tolist()[:4] == [True, False, True, False] and ok[6]
 
 
 class TestScalarCholesky:

@@ -10,6 +10,7 @@ from hibreak.core_stats import cho_apply, cholesky_spd, factor_determinant, mean
 from hibreak.errors import AllStartsDegenerate, NotPositiveDefinite, TooLarge
 from hibreak.lts import trimmed_size
 from hibreak.mcd import subset_size
+from hibreak.oracle import MAX_SUBSETS
 
 from conftest import make_dataset, random_points, random_regression
 
@@ -182,6 +183,50 @@ class TestExactMcd:
     def test_h_above_n(self, rng):
         with pytest.raises(ValueError, match="exceeds n"):
             exact_mcd(rng.normal(size=(8, 2)), 9)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 97, 1 << 40])
+def test_chunks_are_the_combinations_in_order(size):
+    # every chunk but the last holds size subsets; the last holds at least one
+    for n in range(1, 13):
+        for h in range(1, n + 1):
+            chunks = list(concentration.lexicographic_chunks(n, h, size))
+            expected = np.array(list(itertools.combinations(range(n), h)))
+            np.testing.assert_array_equal(np.concatenate(chunks), expected)
+            assert all(chunk.dtype == np.intp and chunk.shape[1] == h for chunk in chunks)
+            assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert 1 <= len(chunks[-1]) <= size
+
+
+@pytest.mark.parametrize("elements", [1, 97, 1 << 40], ids=["one", "middle", "all"])
+def test_oracle_chunks_stay_within_the_budget(monkeypatch, elements):
+    # the chunks exact_mcd evaluates, on one column (width 1) and on two
+    monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", elements)
+    evaluate, seen = mcd.evaluate_subsets, []
+    monkeypatch.setattr(mcd, "evaluate_subsets",
+                        lambda x, subsets: seen.append(subsets.copy()) or evaluate(x, subsets))
+    rng = np.random.default_rng(5)
+    for n in range(3, 13):
+        for width in (1, 2):
+            for h in range(width + 1, n + 1):
+                seen.clear()
+                exact_mcd(rng.normal(size=(n, width)), h)
+                expected = np.array(list(itertools.combinations(range(n), h)))
+                np.testing.assert_array_equal(np.concatenate(seen), expected)
+                assert all(len(s) * n * width <= elements or len(s) == 1 for s in seen)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda data: exact_lts(data, trimmed_size(data.n, data.k, 0.25)), id="exact_lts"),
+    pytest.param(lambda data: exact_mcd(data.predictor_matrix(), subset_size(data.n, 0.75)),
+                 id="exact_mcd"),
+])
+def test_too_large_says_so_in_one_line(call):
+    # C(20000, 15000) has about 4,800 digits, past Python's limit on int-to-str conversion
+    data = random_regression(np.random.default_rng(0), 20_000, 2)
+    with pytest.raises(TooLarge) as raised:
+        call(data)
+    assert str(raised.value) == f"C(20000, 15000) exceeds {MAX_SUBSETS} subsets"
 
 
 @pytest.fixture(params=[1, 1 << 40], ids=["chunk_of_one", "one_chunk"])
