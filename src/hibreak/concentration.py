@@ -6,10 +6,10 @@ then the n_best_kept best iterate to convergence. A C-step refits on the
 h rows that score lowest under the current fit, which never increases
 the objective. Each part is one _phase, rows in and rows out, batched as
 (T, n) scores, their 0/1 masks of the h lowest and fits from mask times
-per-row terms (one matmul). Above NESTED_MIN_N rows, disjoint random
-subsamples screen the starts and their union the rows the best of each
-select, so the start phase does not grow with n (the nested extension
-of both papers).
+per-row terms (one matmul), all written into one workspace per search.
+Above NESTED_MIN_N rows, disjoint random subsamples screen the starts and
+their union the rows the best of each select, so the start phase does not
+grow with n (the nested extension of both papers).
 """
 
 from __future__ import annotations
@@ -48,18 +48,19 @@ _BLOCK_ELEMENTS = 1 << 15
 class Model:
     """The model-specific pieces of a search.
 
-    fit(terms summed over each trial's rows, row count) returns (params,
+    fit(terms summed over each trial's rows, row count, out) returns (params,
     objectives, ok): a tuple of arrays with a leading trial axis, and the
-    (T,) objectives and non-degenerate mask. score(params) gives the (T, n)
-    scores a C-step ranks rows by. refit is the estimator's exact subset
+    (T,) objectives and non-degenerate mask. score(params, out) gives the
+    (T, n) scores a C-step ranks rows by; both may write into out, a pair of
+    (T, n) arrays, or allocate if None. refit is the estimator's exact subset
     evaluator (lts.evaluate_subsets or mcd.evaluate_subsets, which its
     oracle and public C-step use too); one call on the stacked rows of the
     refined trials ranks them and gives the winner's estimate.
     """
 
     terms: np.ndarray
-    fit: Callable[[np.ndarray, int], tuple[tuple, np.ndarray, np.ndarray]]
-    score: Callable[[tuple], np.ndarray]
+    fit: Callable[..., tuple[tuple, np.ndarray, np.ndarray]]
+    score: Callable[..., np.ndarray]
     refit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[[int], Any]]]
 
 
@@ -80,15 +81,23 @@ def check_search_config(config) -> None:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
 
 
-def lowest_mask(scores: np.ndarray, h: int) -> np.ndarray:
-    """0/1 mask of the h lowest of each row of scores; ties go to the lowest index."""
-    kth = np.partition(scores, h - 1, axis=1)[:, h - 1 : h]
-    below = scores < kth
-    tied = scores == kth
-    room = h - below.sum(axis=1, keepdims=True)
-    if np.any(tied.sum(axis=1, keepdims=True) > room):
-        tied &= np.cumsum(tied, axis=1) <= room
-    return (below | tied).astype(float)
+def partitioned(a: np.ndarray, kth: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A copy of a, in out (None allocates), partitioned at kth along its last axis."""
+    out = np.positive(a, out=out)  # +a: a copy, bit for bit
+    out.partition(kth, axis=-1)
+    return out
+
+
+def lowest_mask(scores: np.ndarray, h: int, out=(None, None)) -> np.ndarray:
+    """0/1 mask of the h lowest of each row of scores (ties: lowest index); out = (scratch, mask)."""
+    kth = partitioned(scores, h - 1, out[0])[:, h - 1 : h]
+    mask = np.less_equal(scores, kth, out=np.empty(scores.shape) if out[1] is None else out[1])
+    tie = np.flatnonzero(mask.sum(axis=1) > h)  # more than h at or below kth
+    if tie.size:
+        below, tied = scores[tie] < kth[tie], scores[tie] == kth[tie]
+        tied &= np.cumsum(tied, axis=1) <= h - below.sum(axis=1, keepdims=True)
+        mask[tie] = below | tied
+    return mask
 
 
 def lowest_rows(scores: np.ndarray, h: int) -> np.ndarray:
@@ -106,37 +115,43 @@ def _draw(rng: np.random.Generator, n: int, dim: int, count: int) -> np.ndarray:
     return out
 
 
-def _table(m: int, k: int, tables: dict) -> np.ndarray:
-    """The k-subsets of range(m) in lexicographic order by Pascal's rule, made once per tables."""
-    if (m, k) not in tables:
-        if k in (0, m):
-            tables[m, k] = np.arange(k)[None]
-        else:
-            head, tail = _table(m - 1, k - 1, tables), _table(m - 1, k, tables)
-            both = tables[m, k] = np.zeros((len(head) + len(tail), k), dtype=np.intp)
-            np.add(head, 1, out=both[: len(head), 1:])
-            np.add(tail, 1, out=both[len(head) :])
-    return tables[m, k]
+def _table(m: int, k: int, tables: dict) -> tuple[int, np.ndarray]:
+    """(M, the k-subsets of range(M - m, M) in lexicographic order) from the table kept for k.
+
+    The subsets of range(b, M) end every lexicographic table of subsets of range(M). A missing
+    or short table is built a column at a time from the widest narrower one that reaches far
+    enough: the j-subsets of range(w) that start with a go on with those of range(a + 1, w).
+    """
+    j = max(i for i in range(k + 1) if tables.get(i, (-1,))[0] >= m - k + i)
+    for j in range(j + 1, k + 1):
+        w, (top, narrower) = m - k + j, tables[j - 1]
+        counts = np.array([math.comb(w - a - 1, j - 1) for a in range(w - j + 1)])
+        tail = np.arange(counts.sum()) + np.repeat(len(narrower) - np.cumsum(counts), counts)
+        first = np.repeat(np.arange(len(counts)), counts)[:, None]
+        tables[j] = w, np.hstack([first, narrower[tail] + (w - top)])
+    return tables[k][0], tables[k][1][-math.comb(m, k) :]
 
 
 def lexicographic_chunks(n: int, r: int, size: int):
     """(T, r) arrays of the r-subsets of range(n) in lexicographic order; T = size but in the last.
 
-    A node is a prefix, then n - m + the k-subsets of range(m): a shifted _table once at most
-    size subsets share the prefix (so m <= size). The tables live for one call, m calls deep.
+    A node is a prefix, then n - m + the k-subsets of range(m) once at most size subsets
+    share the prefix (so m <= size): _table's k-subsets of range(M - m, M) shifted by n - M.
+    The tables live for one call, one per k.
     """
-    tables = {}
+    tables = {0: (n, np.zeros((1, 0), dtype=np.intp))}
     chunk, filled, nodes = np.empty((min(size, math.comb(n, r)), r), dtype=np.intp), 0, [((), n)]
     while nodes:  # depth first, without recursion: a prefix can be thousands of rows long
         prefix, m = nodes.pop()
-        if math.comb(m, r - len(prefix)) > size:  # those with n - m first, then those without
+        k = r - len(prefix)
+        if math.comb(m, k) > size:  # those with n - m first, then those without
             nodes += [(prefix, m - 1), (prefix + (n - m,), m - 1)]
             continue
-        rows = _table(m, r - len(prefix), tables)
+        top, rows = _table(m, k, tables)
         while len(rows):
             block = chunk[filled : filled + len(rows)]
             block[:, : len(prefix)] = prefix
-            np.add(rows[: len(block)], n - m, out=block[:, len(prefix) :])
+            np.add(rows[: len(block)], n - top, out=block[:, len(prefix) :])
             rows, filled = rows[len(block) :], filled + len(block)
             if filled == len(chunk) or not (nodes or len(rows)):
                 yield chunk[:filled]
@@ -154,9 +169,18 @@ def _take(params: tuple, index) -> tuple:
     return tuple(a[index] for a in params)
 
 
-def _c_step(model: Model, params: tuple, h: int):
-    mask = lowest_mask(model.score(params), h)
-    return (*model.fit(mask @ model.terms, h), mask)
+def _views(work: list | None, shape: tuple) -> list:
+    """Scores, scratch and mask arrays of shape in work's three flat buffers, grown to fit (None: new)."""
+    work, size = work or [np.empty(0)] * 3, shape[0] * shape[1]
+    if len(work[0]) < size:
+        work[:] = [np.empty(size) for _ in work]
+    return [buffer[:size].reshape(shape) for buffer in work]
+
+
+def _c_step(model: Model, params: tuple, h: int, work: list | None = None):
+    *out, mask = _views(work, (len(params[0]), model.terms.shape[0]))
+    mask = lowest_mask(model.score(params, out), h, (out[1], mask))
+    return (*model.fit(mask @ model.terms, h, out), mask)
 
 
 def _block(model: Model) -> int:
@@ -164,7 +188,7 @@ def _block(model: Model) -> int:
 
 
 def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | None = None,
-           objective: np.ndarray | None = None, optional: bool = False):
+           objective: np.ndarray | None = None, optional: bool = False, work: list | None = None):
     """Fit each start (a row of starts holds its rows), then take up to steps C-steps.
 
     Screening passes keep: every trial takes all steps (a start's objective
@@ -173,22 +197,24 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | Non
     that selected starts: a trial stops once a fit, the opening one too,
     changes it by at most CONVERGENCE_RTOL, and hands on its last fit's rows.
     A degenerate trial is dropped alone; a phase left with none raises
-    AllStartsDegenerate unless optional. Returns (trial, rows, objective,
-    converged, n_csteps): trial indexes starts (ranked when screening) and
-    n_csteps counts the C-steps that did not turn degenerate.
+    AllStartsDegenerate unless optional. Blocks live in the workspace work.
+    Returns (trial, rows, objective, converged, n_csteps): trial indexes
+    starts (ranked when screening) and n_csteps counts the C-steps that did
+    not turn degenerate.
     """
     n, block, n_csteps = model.terms.shape[0], _block(model), 0
     finished = []  # (objectives, trials, converged, *carry) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
-        mask = np.zeros((len(trial), n))
+        *out, mask = _views(work, (len(trial), n))
+        mask[...] = 0.0
         np.put_along_axis(mask, starts[trial], 1.0, axis=1)
-        params, new, ok = model.fit(mask @ model.terms, starts.shape[1])
+        params, new, ok = model.fit(mask @ model.terms, starts.shape[1], out)
         old = objective[trial] if keep is None else new
         for step in range(steps + 1):
             if step:
-                old, trial, params = new[live], trial[live], _take(params, live)
-                params, new, ok, mask = _c_step(model, params, h)
+                old, trial, params = new[live], trial[live], params if live.all() else _take(params, live)
+                params, new, ok, mask = _c_step(model, params, h, work)
                 n_csteps += int(ok.sum())
             converged = old - new <= CONVERGENCE_RTOL * old
             done = ok & ((converged & (keep is None)) | (step == steps))
@@ -208,16 +234,17 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | Non
     return trial, rows, objective, converged, n_csteps
 
 
-def concentrate(model: Model, starts: np.ndarray, h: int, config) -> Search:
+def concentrate(model: Model, starts: np.ndarray, h: int, config, work: list | None = None) -> Search:
     """Screen every start, refine the rows the config.n_best_kept best select, pick one.
 
     Refinement opens with a fit on those rows, so a refined trial takes up
     to config.max_csteps fits. One model.refit call evaluates the refined
     trials' last rows; the winner has the lowest (refit objective, start index).
     """
-    screened, rows, objective, _, n_csteps = _phase(model, starts, h, 2, config.n_best_kept)
+    screened, rows, objective, _, n_csteps = _phase(
+        model, starts, h, 2, config.n_best_kept, work=work)
     trial, rows, _, converged, refine_steps = _phase(
-        model, rows, h, config.max_csteps - 1, objective=objective)
+        model, rows, h, config.max_csteps - 1, objective=objective, work=work)
     kept, objective, fit = model.refit(rows)
     if not kept.size:
         raise AllStartsDegenerate(f"the exact refit rejects all {len(rows)} refined subsets")
@@ -241,11 +268,12 @@ def run_search(
     every row. A phase on m rows uses subsets of ceil(m h / n) rows;
     n_csteps counts the C-steps of all phases. Overflow is silent in the
     whole search: a model's fit marks a trial whose objective or estimate
-    is not finite as degenerate.
+    is not finite as degenerate. Every phase shares one workspace (_views).
     """
+    work = [np.empty(0)] * 3
     if h >= n or n <= NESTED_MIN_N:
         starts = np.arange(n)[None] if h >= n else draw_starts(n, dim, config)
-        return concentrate(make_model(slice(None), h), starts, h, config)
+        return concentrate(make_model(slice(None), h), starts, h, config, work)
     rng = np.random.default_rng(config.seed)
     k = min(MAX_SUBSAMPLES, n // SUBSAMPLE_ROWS, config.n_starts)
     parts = np.sort(rng.permutation(n)[: k * SUBSAMPLE_ROWS].reshape(k, SUBSAMPLE_ROWS), axis=1)
@@ -255,10 +283,10 @@ def run_search(
         """The rows each kept trial's fit selects, as rows of the data, and the C-steps."""
         h_rows = -(-len(rows) * h // n)
         _, selected, _, _, n_csteps = _phase(make_model(rows, h_rows), starts, h_rows, 2,
-                                             config.n_best_kept, optional=optional)
+                                             config.n_best_kept, optional=optional, work=work)
         return rows[selected], n_csteps
 
     found = [screen(p, _draw(rng, SUBSAMPLE_ROWS, dim, config.n_starts // k), True) for p in parts]
     starts, n_csteps = screen(union, np.searchsorted(union, np.vstack([r for r, _ in found])))
-    search = concentrate(make_model(slice(None), h), starts, h, config)
+    search = concentrate(make_model(slice(None), h), starts, h, config, work)
     return replace(search, n_csteps=search.n_csteps + n_csteps + sum(c for _, c in found))

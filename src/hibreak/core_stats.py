@@ -31,13 +31,14 @@ def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     collinear input; that factor becomes the identity, so one bad matrix
     never fails the others. The factors are stored stack axis innermost
     (Fortran order), so that reductions over their diagonals, here and in
-    factor_determinant, run along the stack, not as T reductions over K.
+    factor_determinant, run along the stack, not as T reductions over K;
+    the diagonal of a is copied to that layout for its maximum.
     """
     # No public numpy function factors a stack and reports failures per matrix.
     with np.errstate(all="ignore"):
         low = _umath_linalg.cholesky_lo(a, signature="d->d", out=np.empty(a.shape, order="F"))
     # min(L[j, j])**2 is min(L[j, j]**2): a pivot is positive, or NaN where LAPACK failed
-    ok = low.diagonal(0, -2, -1).min(-1) ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).max(-1)
+    ok = low.diagonal(0, -2, -1).min(-1) ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).T.copy().max(0)
     low[~ok] = np.eye(a.shape[-1])
     return low, ok
 

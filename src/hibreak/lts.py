@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, check_search_config, lowest_rows, run_search
+from .concentration import Model, check_search_config, lowest_rows, partitioned, run_search
 from .core_stats import cho_apply, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite
 from .ols import Dataset
@@ -119,14 +119,15 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
     n, k = x.shape
     terms = np.hstack([(x[:, :, None] * x[:, None, :]).reshape(n, k * k), x * y[:, None]])
 
-    def fit(sums, count):
+    def fit(sums, count, out=(None, None)):
         low, ok = spd_factor(sums[:, : k * k].reshape(-1, k, k))
         beta = cho_apply(low, sums[:, k * k :])
-        r2 = (y - beta @ x.T) ** 2
-        objective = np.partition(r2, h - 1, axis=1)[:, :h].sum(axis=1)
+        r2 = np.matmul(beta, x.T, out=out[0])  # (y - beta @ x.T) ** 2, in place
+        np.square(np.subtract(y, r2, out=r2), out=r2)
+        objective = partitioned(r2, h - 1, out[1])[:, :h].sum(axis=1)
         return (beta, r2), objective, ok & np.isfinite(objective)  # overflowed: degenerate
 
-    return Model(terms=terms, fit=fit, score=lambda params: params[1],
+    return Model(terms=terms, fit=fit, score=lambda params, out=None: params[1],
                  refit=lambda subsets: evaluate_subsets(x, y, subsets, h))
 
 

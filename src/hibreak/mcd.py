@@ -108,7 +108,7 @@ def _search_model(x: np.ndarray, h: int) -> Model:
     squares = (xc[:, :, None] * xc[:, None, :]).reshape(n, p * p)
     terms = np.hstack([xc, squares])
 
-    def fit(sums, count):
+    def fit(sums, count, out=None):
         mean = sums[:, :p] / count
         second = sums[:, p:].reshape(-1, p, p) / count
         cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
@@ -120,11 +120,12 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         ok &= np.isfinite(precision).all(axis=(1, 2)) & np.isfinite(det)
         return (mean, precision), det, ok
 
-    def score(params):
+    def score(params, out=(None, None)):
         mean, precision = params
         pm = (precision @ mean[:, :, None])[:, :, 0]
-        quadratic = precision.reshape(len(mean), p * p) @ squares.T
-        return quadratic - 2.0 * (pm @ xc.T) + np.sum(mean * pm, axis=1)[:, None]
+        scores = np.matmul(precision.reshape(len(mean), p * p), squares.T, out=out[0])
+        scores -= np.multiply(np.matmul(pm, xc.T, out=out[1]), 2.0, out=out[1])
+        return np.add(scores, np.sum(mean * pm, axis=1)[:, None], out=scores)
 
     return Model(terms=terms, fit=fit, score=score,
                  refit=lambda subsets: evaluate_subsets(x, subsets))

@@ -1,7 +1,8 @@
 """The batched concentration engine shared by fit_lts and fit_mcd."""
 
 import itertools
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -460,3 +461,59 @@ class TestPhaseLoop:
         x, y = dummy_design(1000, 3)
         fit = fit_lts(make_dataset(x, y), LtsConfig())
         assert fit.h_subset.shape == (750,) and np.isfinite(fit.coefficients).all()
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("estimator", ["lts", "mcd"])
+    def test_c_steps_match_the_allocating_path(self, estimator):
+        # a dummy with 6 ones in 60 rows: starts without a one are degenerate,
+        # and MCD trials turn degenerate between steps too, so the live trials
+        # move into fewer rows of the workspace
+        x, y = dummy_design(60, 6)
+        if estimator == "lts":
+            model = lts._search_model(make_dataset(x, y).design_matrix(), y, 45)
+        else:
+            model = mcd._search_model(x, 45)
+        starts = concentration._draw(np.random.default_rng(1), 60, 2, 40)
+        mask = np.zeros((40, 60))
+        np.put_along_axis(mask, starts, 1.0, axis=1)
+        fresh, _, ok = model.fit(mask @ model.terms, 3)
+        kept, work, compacted = fresh, [np.empty(0)] * 3, 0
+        for step in range(4):
+            if not ok.any():
+                break
+            # as _phase: the workspace path compacts only when a trial dropped
+            fresh = concentration._take(fresh, ok)
+            kept = kept if ok.all() else concentration._take(kept, ok)
+            compacted += not ok.all()
+            expected = concentration._c_step(model, fresh, 45)
+            got = concentration._c_step(model, kept, 45, work)
+            for a, b in zip((*got[0], *got[1:]), (*expected[0], *expected[1:])):
+                assert_same_bits(a, b)
+            assert np.shares_memory(got[3], work[2])
+            if estimator == "lts":  # the squared residuals, the next step's scores
+                assert np.shares_memory(got[0][1], work[0])
+            fresh, kept, ok = expected[0], got[0], expected[2]
+        assert step >= 2 and compacted >= (3 if estimator == "mcd" else 1)
+
+    def test_searches_in_threads_match_sequential_runs(self, rng):
+        # n = 700 takes the nested search; each call owns its workspace
+        data = random_regression(rng, 700, 3, outlier_fraction=0.2)
+        x = random_points(rng, 700, 2, outliers=140)
+        jobs = [lambda s=s: fit_lts(data, LtsConfig(seed=s)) for s in range(4)]
+        jobs += [lambda s=s: fit_mcd(x, McdConfig(seed=s)) for s in range(4)]
+        sequential = [job() for job in jobs]
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda job: job(), jobs))
+        for got, expected in zip(threaded, sequential):
+            for field in fields(expected):
+                a, b = getattr(got, field.name), getattr(expected, field.name)
+                if isinstance(b, np.ndarray):
+                    assert_same_bits(a, b)
+                else:
+                    assert a == b

@@ -198,6 +198,16 @@ def test_chunks_are_the_combinations_in_order(size):
             assert 1 <= len(chunks[-1]) <= size
 
 
+@pytest.mark.parametrize("n, h, size", [(3000, 1, 10**9), (3000, 1, 7), (300, 2, 10**9)])
+def test_chunks_of_long_ranges(n, h, size):
+    # a chunk may hold the subsets of thousands of rows: the tables are built a
+    # column at a time, with no call depth that grows with the row count
+    chunks = list(concentration.lexicographic_chunks(n, h, size))
+    expected = np.array(list(itertools.combinations(range(n), h)))
+    np.testing.assert_array_equal(np.concatenate(chunks), expected)
+    assert len(chunks) == -(-len(expected) // size)
+
+
 @pytest.mark.parametrize("elements", [1, 97, 1 << 40], ids=["one", "middle", "all"])
 def test_oracle_chunks_stay_within_the_budget(monkeypatch, elements):
     # the chunks exact_mcd evaluates, on one column (width 1) and on two
