@@ -173,7 +173,7 @@ def _views(work: list | None, shape: tuple) -> list:
     """Scores, scratch and mask arrays of shape in work's three flat buffers, grown to fit (None: new)."""
     work, size = work or [np.empty(0)] * 3, shape[0] * shape[1]
     if len(work[0]) < size:
-        work[:] = [np.empty(size) for _ in work]
+        work[:] = np.empty((3, size))  # one allocation: malloc keeps it for the next search
     return [buffer[:size].reshape(shape) for buffer in work]
 
 
@@ -187,64 +187,64 @@ def _block(model: Model) -> int:
     return max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
 
 
-def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int | None = None,
+def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
            objective: np.ndarray | None = None, optional: bool = False, work: list | None = None):
-    """Fit each start (a row of starts holds its rows), then take up to steps C-steps.
+    """Fit each start (a row of starts holds its rows), take up to steps C-steps, keep the best.
 
-    Screening passes keep: every trial takes all steps (a start's objective
-    is not comparable with an h-row one), and the keep best hand on the h
-    rows their last fits select. Refinement passes the objective of the fits
-    that selected starts: a trial stops once a fit, the opening one too,
-    changes it by at most CONVERGENCE_RTOL, and hands on its last fit's rows.
-    A degenerate trial is dropped alone; a phase left with none raises
-    AllStartsDegenerate unless optional. Blocks live in the workspace work.
+    A trial stops after steps C-steps or, given the objective of the fits
+    that selected starts (refinement), once a fit, the opening one too,
+    changes it by at most CONVERGENCE_RTOL; screening passes none, as a
+    start's objective is not comparable with an h-row one. The keep best
+    stopped fits by (objective, trial), the only ones to leave the workspace
+    work, hand on the h rows they select. A degenerate trial is dropped
+    alone; a phase left with none raises AllStartsDegenerate unless optional.
     Returns (trial, rows, objective, converged, n_csteps): trial indexes
-    starts (ranked when screening) and n_csteps counts the C-steps that did
-    not turn degenerate.
+    starts, ranked, and n_csteps counts the C-steps that did not turn degenerate.
     """
     n, block, n_csteps = model.terms.shape[0], _block(model), 0
-    finished = []  # (objectives, trials, converged, *carry) of stopped trials
+    finished = []  # (objectives, trials, converged, *params) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
         *out, mask = _views(work, (len(trial), n))
         mask[...] = 0.0
         np.put_along_axis(mask, starts[trial], 1.0, axis=1)
         params, new, ok = model.fit(mask @ model.terms, starts.shape[1], out)
-        old = objective[trial] if keep is None else new
+        old = new if objective is None else objective[trial]
         for step in range(steps + 1):
             if step:
                 old, trial, params = new[live], trial[live], params if live.all() else _take(params, live)
-                params, new, ok, mask = _c_step(model, params, h, work)
+                params, new, ok, _ = _c_step(model, params, h, work)
                 n_csteps += int(ok.sum())
             converged = old - new <= CONVERGENCE_RTOL * old
-            done = ok & ((converged & (keep is None)) | (step == steps))
-            carry = (mask,) if keep is None else params  # refinement's rows, or fits to rank
-            finished.append(_take((new, trial, converged, *carry), done))
-            live = ok & ~done
+            done = ok & ((converged & (objective is not None)) | (step == steps))
+            stopped = np.flatnonzero(done)
+            if len(stopped) > keep:  # only the best keep can stay: take no other fit
+                stopped = stopped[np.lexsort((trial[stopped], new[stopped]))[:keep]]
+            finished.append(_take((new, trial, converged, *params), stopped))
+            live = ok ^ done  # done is within ok
             if not live.any():
                 break
-        if keep is not None:
-            merged = tuple(map(np.concatenate, zip(*finished)))
-            finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
-    if not optional and not sum(len(f[1]) for f in finished):
+        merged = tuple(map(np.concatenate, zip(*finished)))
+        finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
+    if not optional and not sum(len(f[1]) for f in finished):  # finished is [] without starts
         raise AllStartsDegenerate(f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
-    objective, trial, converged, *carry = map(np.concatenate, zip(*finished))
-    mask = carry[0] if keep is None else lowest_mask(model.score(tuple(carry)), h)
-    rows = np.flatnonzero(mask > 0).reshape(len(trial), h) - n * np.arange(len(trial))[:, None]
-    return trial, rows, objective, converged, n_csteps
+    objective, trial, converged, *params = finished[0]
+    rows = np.flatnonzero(lowest_mask(model.score(tuple(params)), h)).reshape(len(trial), h)
+    return trial, rows - n * np.arange(len(trial))[:, None], objective, converged, n_csteps
 
 
 def concentrate(model: Model, starts: np.ndarray, h: int, config, work: list | None = None) -> Search:
     """Screen every start, refine the rows the config.n_best_kept best select, pick one.
 
-    Refinement opens with a fit on those rows, so a refined trial takes up
-    to config.max_csteps fits. One model.refit call evaluates the refined
-    trials' last rows; the winner has the lowest (refit objective, start index).
+    Refinement keeps all its trials and opens with a fit on those rows, so a
+    refined trial takes up to config.max_csteps fits. One model.refit call
+    evaluates the rows each last fit selects, converged or not; the winner
+    has the lowest (refit objective, start index).
     """
     screened, rows, objective, _, n_csteps = _phase(
         model, starts, h, 2, config.n_best_kept, work=work)
     trial, rows, _, converged, refine_steps = _phase(
-        model, rows, h, config.max_csteps - 1, objective=objective, work=work)
+        model, rows, h, config.max_csteps - 1, len(rows), objective, work=work)
     kept, objective, fit = model.refit(rows)
     if not kept.size:
         raise AllStartsDegenerate(f"the exact refit rejects all {len(rows)} refined subsets")

@@ -257,17 +257,17 @@ def gaussian_quantile(p: float) -> float:
 
 
 def mean_and_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise mean and sample covariance (denominator n-1) of an n x p matrix."""
+    """Columnwise mean and sample covariance (denominator n-1) of an n x p matrix or a (T, n, p) stack."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an n x p matrix, got shape {x.shape}")
-    n, p = x.shape
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected an n x p matrix or a stack of them, got shape {x.shape}")
+    n, p = x.shape[-2:]
     if n < p + 1:
         raise ValueError(f"need at least p+1={p + 1} rows for a p={p} covariance, got {n}")
-    center = x.sum(axis=0) / n  # what x.mean(axis=0) computes, without its wrapper
-    centered = x - center
-    scatter = centered.T @ centered / (n - 1)
-    return center, (scatter + scatter.T) / 2.0
+    center = x.sum(axis=-2) / n  # what x.mean(axis=-2) computes, without its wrapper
+    centered = x - center[..., None, :]
+    scatter = centered.swapaxes(-1, -2) @ centered / (n - 1)
+    return center, (scatter + scatter.swapaxes(-1, -2)) / 2.0
 
 
 def determinant(a: np.ndarray) -> float:

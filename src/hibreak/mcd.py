@@ -17,7 +17,7 @@ import numpy as np
 
 from .concentration import Model, check_search_config, lowest_rows, run_search
 from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
-from .core_stats import spd_factor, substitute
+from .core_stats import mean_and_cov, spd_factor, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
@@ -84,12 +84,8 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     whose determinant is not finite, and fit(j) is the (mean, covariance)
     of subset kept[j].
     """
-    m = subsets.shape[1]
     xs = np.take(x, subsets, axis=0)  # x[subsets], bit for bit and C-contiguous, at less cost
-    center = xs.sum(axis=1) / m
-    centered = xs - center[:, None, :]
-    scatter = centered.swapaxes(1, 2) @ centered / (m - 1)
-    cov = (scatter + scatter.swapaxes(1, 2)) / 2.0
+    center, cov = mean_and_cov(xs)
     low, ok = spd_factor(cov)
     with np.errstate(over="ignore"):
         det = factor_determinant(low)

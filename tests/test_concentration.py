@@ -378,6 +378,28 @@ def spy_on_steps(monkeypatch):
     return seen
 
 
+def spy_on_phases(monkeypatch):
+    """(args, kwargs, result) of every _phase call, in call order."""
+    seen, phase = [], concentration._phase
+
+    def spy(*args, **kwargs):
+        out = phase(*args, **kwargs)
+        seen.append((args, kwargs, out))
+        return out
+    monkeypatch.setattr(concentration, "_phase", spy)
+    return seen
+
+
+def leverage_design():
+    """200 rows, 3 predictors, 40 vertical outliers of which 33 are leverage points."""
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((200, 3))
+    y = x @ [1.0, 2.0, 3.0] + rng.standard_normal(200)
+    y[:40] += 20.0
+    x[:33] += 5.0
+    return x, y
+
+
 class TestPhaseLoop:
     def test_screening_takes_both_steps_of_every_trial(self, rng, monkeypatch):
         # a trial stopped at convergence would stop after one step: its first
@@ -396,15 +418,67 @@ class TestPhaseLoop:
         # refinement opens with a fit of the rows the screened fits select,
         # the first of its max_csteps fits: at one, only screening takes C-steps,
         # although leverage outliers leave the refined trials short of convergence
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((200, 3))
-        y = x @ [1.0, 2.0, 3.0] + rng.standard_normal(200)
-        y[:40] += 20.0
-        x[:33] += 5.0
+        x, y = leverage_design()
         seen = spy_on_steps(monkeypatch)
         fit = fit_lts(make_dataset(x, y), LtsConfig(max_csteps=1))
         assert not fit.converged
         assert fit.n_csteps_total == sum(len(ok) for ok in seen) == 2 * LtsConfig().n_starts
+
+    @pytest.mark.parametrize("estimator", ["lts", "mcd"])
+    def test_refinement_ranks_its_trials(self, monkeypatch, estimator):
+        # as screening does: by (objective, trial), not in the order they stop;
+        # the leverage points leave local optima that converge at different steps
+        x, y = leverage_design()
+        phases = spy_on_phases(monkeypatch)
+        if estimator == "lts":
+            fit_lts(make_dataset(x, y))
+        else:
+            fit_mcd(x)
+        trial, rows, objective, converged, _ = phases[1][2]
+        np.testing.assert_array_equal(np.lexsort((trial, objective)), np.arange(len(trial)))
+        assert len(trial) == len(phases[1][0][1]) == McdConfig().n_best_kept
+        assert converged.all()
+
+    def test_a_capped_trial_hands_on_the_rows_its_last_fit_selects(self, monkeypatch):
+        # max_csteps = 1: refinement's one fit is on the rows screening handed on,
+        # and an unconverged trial hands on the rows that fit selects, not those
+        x, y = leverage_design()
+        data = make_dataset(x, y)
+        h = lts.trimmed_size(200, 4, 0.25)
+        model = lts._search_model(data.design_matrix(), y, h)
+        phases = spy_on_phases(monkeypatch)
+        config = LtsConfig(max_csteps=1)
+        search = concentration.concentrate(
+            model, concentration.draw_starts(200, 4, config), h, config)
+        (_, given, *_), _, (trial, rows, _, converged, _) = phases[1]
+        masks = np.zeros((len(given), 200))
+        np.put_along_axis(masks, given, 1.0, axis=1)
+        params, _, _ = model.fit(masks @ model.terms, h)
+        selected = concentration.lowest_mask(model.score(params), h)
+        for i, t in enumerate(trial):
+            np.testing.assert_array_equal(rows[i], np.flatnonzero(selected[t]))
+        moved = [not np.array_equal(rows[i], given[t]) for i, t in enumerate(trial)]
+        assert not converged.all() and any(moved)
+        assert any(np.array_equal(search.rows, r) for r in rows)
+
+    def test_screening_takes_at_most_keep_fits_out_of_the_workspace(self, rng, monkeypatch):
+        # 500 starts on 200 rows run in 4 blocks of at most 163 trials; each
+        # block's stopped LTS trials carry (T, 200) squared residuals in the
+        # workspace, and only the best 3 of them may be copied out
+        data = random_regression(rng, 200, 5, outlier_fraction=0.2)
+        model = lts._search_model(data.design_matrix(), data.response_vector(), 150)
+        starts = concentration.draw_starts(200, 4, LtsConfig())
+        work, taken, take = [np.empty(0)] * 3, [], concentration._take
+
+        def spy(params, index):
+            out = take(params, index)
+            taken.extend(len(b) for a, b in zip(params, out)
+                          if any(np.shares_memory(a, w) for w in work))
+            return out
+        monkeypatch.setattr(concentration, "_take", spy)
+        trial, rows, *_ = concentration._phase(model, starts, 150, 2, 3, work=work)
+        assert rows.shape == (3, 150) and len(set(trial)) == 3
+        assert taken and max(taken) <= 3 and sum(taken) <= 3 * 4
 
     @pytest.mark.parametrize("n, alpha", [(300, 0.25), (900, 0.25), (700, 0.0)])
     def test_csteps_total_counts_every_step_taken(self, monkeypatch, n, alpha):
@@ -453,6 +527,16 @@ class TestPhaseLoop:
         assert cli.main(["analyze", str(path), "--response", "y", "--predictors", "x,d"]) == 3
         err = capsys.readouterr().err
         assert "stage 'mcd': all 30 trials on 900 rows with h=675 turned degenerate" in err
+
+    def test_a_union_left_with_no_start_names_it(self):
+        # the one row with d = 1 lies outside the three subsamples, so the
+        # dummy is constant in each, all their trials are degenerate and the
+        # union phase has no start at all
+        left_out = np.random.default_rng(0).permutation(1000)[900:]
+        x, y = dummy_design(1000, 0)
+        x[left_out[0], 1] = 1.0
+        with pytest.raises(AllStartsDegenerate, match="all 0 trials on 900 rows with h=675 "):
+            fit_lts(make_dataset(x, y), LtsConfig())
 
     def test_a_subsample_left_with_no_trial_hands_on_no_rows(self):
         # 3 ones in 1000 rows: the first subsample holds none, so its dummy

@@ -476,9 +476,20 @@ class TestMeanAndCov:
         np.testing.assert_allclose(center, x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scatter, np.cov(x, rowvar=False, ddof=1), rtol=1e-10)
 
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng):
+        x = rng.normal(size=(6, 12, 3)) * 1e3 + 7.0
+        center, scatter = mean_and_cov(x)
+        assert center.shape == (6, 3) and scatter.shape == (6, 3, 3)
+        for t in range(6):
+            alone = mean_and_cov(x[t])
+            assert center[t].tobytes() == alone[0].tobytes()
+            assert scatter[t].tobytes() == alone[1].tobytes()
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             mean_and_cov(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            mean_and_cov(np.ones((4, 2, 2)))
 
     def test_not_two_dimensional(self):
         with pytest.raises(ValueError, match="n x p matrix"):
