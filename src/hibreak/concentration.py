@@ -183,8 +183,13 @@ def _c_step(model: Model, params: tuple, h: int, work: list | None = None):
     return (*model.fit(mask @ model.terms, h, out), mask)
 
 
-def _block(model: Model) -> int:
-    return max(1, _BLOCK_ELEMENTS // max(model.terms.shape))
+def _distinct(masks: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first and the last copy of each distinct row of masks (0/1, h ones each)."""
+    if not len(masks):  # argmax rejects an empty axis
+        return np.zeros(0, int), np.zeros(0, int)
+    same = masks @ masks.T == h  # exact sums of 0/1 products; argmax finds the first True
+    first = np.flatnonzero(same.argmax(axis=1) == np.arange(len(masks)))
+    return first, len(masks) - 1 - same[first, ::-1].argmax(axis=1)
 
 
 def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
@@ -196,12 +201,14 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
     changes it by at most CONVERGENCE_RTOL; screening passes none, as a
     start's objective is not comparable with an h-row one. The keep best
     stopped fits by (objective, trial), the only ones to leave the workspace
-    work, hand on the h rows they select. A degenerate trial is dropped
-    alone; a phase left with none raises AllStartsDegenerate unless optional.
+    work, hand on the h rows they select, each set once, as its first fit in
+    rank with its last (highest) objective: refinement stops it no earlier
+    than any copy. A degenerate trial is dropped alone; a phase left with
+    none raises AllStartsDegenerate unless optional.
     Returns (trial, rows, objective, converged, n_csteps): trial indexes
     starts, ranked, and n_csteps counts the C-steps that did not turn degenerate.
     """
-    n, block, n_csteps = model.terms.shape[0], _block(model), 0
+    n, block, n_csteps = model.terms.shape[0], max(1, _BLOCK_ELEMENTS // max(model.terms.shape)), 0
     finished = []  # (objectives, trials, converged, *params) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
@@ -229,8 +236,10 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
     if not optional and not sum(len(f[1]) for f in finished):  # finished is [] without starts
         raise AllStartsDegenerate(f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
     objective, trial, converged, *params = finished[0]
-    rows = np.flatnonzero(lowest_mask(model.score(tuple(params)), h)).reshape(len(trial), h)
-    return trial, rows - n * np.arange(len(trial))[:, None], objective, converged, n_csteps
+    mask = lowest_mask(model.score(tuple(params)), h)
+    kept, last = _distinct(mask, h)
+    rows = np.nonzero(mask[kept])[1].reshape(len(kept), h)
+    return trial[kept], rows, objective[last], converged[kept], n_csteps
 
 
 def concentrate(model: Model, starts: np.ndarray, h: int, config, work: list | None = None) -> Search:
@@ -238,8 +247,8 @@ def concentrate(model: Model, starts: np.ndarray, h: int, config, work: list | N
 
     Refinement keeps all its trials and opens with a fit on those rows, so a
     refined trial takes up to config.max_csteps fits. One model.refit call
-    evaluates the rows each last fit selects, converged or not; the winner
-    has the lowest (refit objective, start index).
+    evaluates each row set the last fits select, converged or not, once; the
+    winner has the lowest (refit objective, start index).
     """
     screened, rows, objective, _, n_csteps = _phase(
         model, starts, h, 2, config.n_best_kept, work=work)

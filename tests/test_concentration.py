@@ -400,6 +400,35 @@ def leverage_design():
     return x, y
 
 
+PHASE = concentration._phase  # the phase loop itself, also while a test spies on it
+
+
+def keep_every_trial(monkeypatch):
+    """Have every phase hand on all the trials it keeps, copies of a row set too."""
+    monkeypatch.setattr(concentration, "_distinct", lambda masks, h: (np.arange(len(masks)),) * 2)
+
+
+def rerun_keeping_every_trial(monkeypatch, args, kwargs):
+    """The _phase call of args and kwargs again, handing on every trial it keeps."""
+    with monkeypatch.context() as patched:
+        keep_every_trial(patched)
+        return PHASE(*args, **kwargs)
+
+
+def assert_each_row_set_once(got, every):
+    """got, a _phase result, is every (the same call handing on all its kept trials) without
+    the later copies of a row set, in order; each carries the objective of its last copy."""
+    keys = [r.tobytes() for r in every[1]]
+    first = [keys.index(k) for k in dict.fromkeys(keys)]
+    last = [len(keys) - 1 - keys[::-1].index(k) for k in dict.fromkeys(keys)]
+    trial, rows, objective, converged, n_csteps = got
+    assert len({r.tobytes() for r in rows}) == len(rows)  # pairwise distinct
+    for a, b in ((trial, every[0][first]), (rows, every[1][first]),
+                 (objective, every[2][last]), (converged, every[3][first])):
+        assert_same_bits(a, b)
+    assert n_csteps == every[4]
+
+
 class TestPhaseLoop:
     def test_screening_takes_both_steps_of_every_trial(self, rng, monkeypatch):
         # a trial stopped at convergence would stop after one step: its first
@@ -408,11 +437,13 @@ class TestPhaseLoop:
         starts = concentration._draw(rng, 200, 3, 120)
         seen = spy_on_steps(monkeypatch)
         model = mcd._search_model(x, 150)
-        trial, rows, _, _, n_csteps = concentration._phase(model, starts, 150, 2, 7)
+        got = concentration._phase(model, starts, 150, 2, 7)
         assert all(ok.all() for ok in seen)
-        assert n_csteps == 2 * len(starts) == sum(len(ok) for ok in seen)
+        assert got[4] == 2 * len(starts) == sum(len(ok) for ok in seen)
+        trial, rows, *_ = every = rerun_keeping_every_trial(monkeypatch, (model, starts, 150, 2, 7), {})
         assert rows.shape == (7, 150) and np.all(np.diff(rows, axis=1) > 0)
         assert len(set(trial)) == 7
+        assert_each_row_set_once(got, every)
 
     def test_max_csteps_counts_the_opening_fit_of_refinement(self, monkeypatch):
         # refinement opens with a fit of the rows the screened fits select,
@@ -434,10 +465,20 @@ class TestPhaseLoop:
             fit_lts(make_dataset(x, y))
         else:
             fit_mcd(x)
-        trial, rows, objective, converged, _ = phases[1][2]
+        (screen_args, screen_kwargs, screened), (args, kwargs, refined) = phases
+        trial, rows, objective, converged, _ = every = rerun_keeping_every_trial(
+            monkeypatch, args, kwargs)
         np.testing.assert_array_equal(np.lexsort((trial, objective)), np.arange(len(trial)))
-        assert len(trial) == len(phases[1][0][1]) == McdConfig().n_best_kept
+        assert len(trial) == len(args[1])
         assert converged.all()
+        assert_each_row_set_once(refined, every)
+        # screening hands on each row set its n_best_kept best select once, and refinement
+        # starts from those
+        every_screened = rerun_keeping_every_trial(monkeypatch, screen_args, screen_kwargs)
+        assert len(every_screened[0]) == McdConfig().n_best_kept
+        assert_each_row_set_once(screened, every_screened)
+        assert_same_bits(args[1], screened[1])
+        assert len(args[1]) < McdConfig().n_best_kept
 
     def test_a_capped_trial_hands_on_the_rows_its_last_fit_selects(self, monkeypatch):
         # max_csteps = 1: refinement's one fit is on the rows screening handed on,
@@ -450,7 +491,8 @@ class TestPhaseLoop:
         config = LtsConfig(max_csteps=1)
         search = concentration.concentrate(
             model, concentration.draw_starts(200, 4, config), h, config)
-        (_, given, *_), _, (trial, rows, _, converged, _) = phases[1]
+        (_, given, *_), _, got = phases[1]
+        trial, rows, _, converged, _ = every = rerun_keeping_every_trial(monkeypatch, *phases[1][:2])
         masks = np.zeros((len(given), 200))
         np.put_along_axis(masks, given, 1.0, axis=1)
         params, _, _ = model.fit(masks @ model.terms, h)
@@ -459,7 +501,8 @@ class TestPhaseLoop:
             np.testing.assert_array_equal(rows[i], np.flatnonzero(selected[t]))
         moved = [not np.array_equal(rows[i], given[t]) for i, t in enumerate(trial)]
         assert not converged.all() and any(moved)
-        assert any(np.array_equal(search.rows, r) for r in rows)
+        assert_each_row_set_once(got, every)
+        assert any(np.array_equal(search.rows, r) for r in got[1])
 
     def test_screening_takes_at_most_keep_fits_out_of_the_workspace(self, rng, monkeypatch):
         # 500 starts on 200 rows run in 4 blocks of at most 163 trials; each
@@ -476,9 +519,12 @@ class TestPhaseLoop:
                           if any(np.shares_memory(a, w) for w in work))
             return out
         monkeypatch.setattr(concentration, "_take", spy)
-        trial, rows, *_ = concentration._phase(model, starts, 150, 2, 3, work=work)
-        assert rows.shape == (3, 150) and len(set(trial)) == 3
+        got = concentration._phase(model, starts, 150, 2, 3, work=work)
         assert taken and max(taken) <= 3 and sum(taken) <= 3 * 4
+        trial, rows, *_ = every = rerun_keeping_every_trial(
+            monkeypatch, (model, starts, 150, 2, 3), {})
+        assert rows.shape == (3, 150) and len(set(trial)) == 3
+        assert_each_row_set_once(got, every)
 
     @pytest.mark.parametrize("n, alpha", [(300, 0.25), (900, 0.25), (700, 0.0)])
     def test_csteps_total_counts_every_step_taken(self, monkeypatch, n, alpha):
@@ -511,7 +557,7 @@ class TestPhaseLoop:
         np.testing.assert_array_equal(fit.h_subset, np.arange(n))
         assert fit.n_csteps_total == 2
 
-    def test_all_degenerate_names_the_failing_phase(self, tmp_path, capsys):
+    def test_all_degenerate_names_the_failing_phase(self, tmp_path, capsys, monkeypatch):
         x = np.ones((20, 2))
         x[:, 1] = np.arange(20.0)
         x[[3, 4, 5], 1] = 1.0  # rows 3..5 share x, so no fit on them alone exists
@@ -524,7 +570,13 @@ class TestPhaseLoop:
         path = tmp_path / "dummy.csv"
         path.write_text("row,y,x,d\n" + "".join(
             f"r{i},{y[i]:.17g},{x[i, 0]:.17g},{x[i, 1]:.17g}\n" for i in range(1000)))
-        assert cli.main(["analyze", str(path), "--response", "y", "--predictors", "x,d"]) == 3
+        argv = ["analyze", str(path), "--response", "y", "--predictors", "x,d"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "stage 'mcd': all 13 trials on 900 rows with h=675 turned degenerate" in err
+        # the union's 13 starts are the distinct row sets among the 30 its subsamples hand on
+        keep_every_trial(monkeypatch)
+        assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "stage 'mcd': all 30 trials on 900 rows with h=675 turned degenerate" in err
 
@@ -550,6 +602,17 @@ class TestPhaseLoop:
 def assert_same_bits(got, expected):
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+def assert_same_fit(got, expected, skip=()):
+    """Every field of two LtsFit or McdEstimate equal, arrays bit for bit, but those in skip."""
+    for field in fields(expected):
+        if field.name not in skip:
+            a, b = getattr(got, field.name), getattr(expected, field.name)
+            if isinstance(b, np.ndarray):
+                assert_same_bits(a, b)
+            else:
+                assert a == b, field.name
 
 
 class TestWorkspace:
@@ -595,9 +658,97 @@ class TestWorkspace:
         with ThreadPoolExecutor(4) as pool:
             threaded = list(pool.map(lambda job: job(), jobs))
         for got, expected in zip(threaded, sequential):
-            for field in fields(expected):
-                a, b = getattr(got, field.name), getattr(expected, field.name)
-                if isinstance(b, np.ndarray):
-                    assert_same_bits(a, b)
-                else:
-                    assert a == b
+            assert_same_fit(got, expected)
+
+
+def search_fits(x, y):
+    return fit_lts(make_dataset(x, y)), fit_mcd(x)
+
+
+class TestEachRowSetOnce:
+    @pytest.mark.parametrize("pattern", [
+        [], [0], [0, 1, 2, 3], [0, 1, 2, 1], [0, 0, 0, 0], [2, 0, 2, 1, 0, 2]])
+    def test_first_and_last_copy_of_each_row_set(self, pattern):
+        # the masks of the pool differ by one swapped row, so h - 1 of their h rows overlap
+        pool = np.zeros((4, 12))
+        pool[:, :5] = 1.0
+        for i in range(1, 4):
+            pool[i, [i, 5 + i]] = 0.0, 1.0
+        masks = pool[pattern].reshape(len(pattern), 12)
+        first, last = concentration._distinct(masks, 5)
+        distinct = list(dict.fromkeys(pattern))
+        np.testing.assert_array_equal(first, [pattern.index(v) for v in distinct])
+        np.testing.assert_array_equal(
+            last, [len(pattern) - 1 - pattern[::-1].index(v) for v in distinct])
+
+    def test_searches_up_to_600_rows_match_refining_every_copy(self, monkeypatch):
+        # duplicates share every fit after refinement's opening one, and the kept copy
+        # stops no earlier than any of them, so the winner does not move; only the
+        # C-step count falls
+        designs = [leverage_design()]
+        for n in (16, 40, 120, 300, 600):
+            for seed in range(4):
+                rng = np.random.default_rng(100 * n + seed)
+                data = random_regression(rng, n, 2 + seed % 3, outlier_fraction=0.2)
+                designs.append((data.design_matrix()[:, 1:], data.response_vector()))
+        dropped, distinct = [], concentration._distinct
+
+        def spy(masks, h):
+            first, last = distinct(masks, h)
+            dropped[-1] += len(masks) - len(first)
+            return first, last
+        monkeypatch.setattr(concentration, "_distinct", spy)
+        for x, y in designs:
+            dropped.append(0)
+            fits = search_fits(x, y)
+            with monkeypatch.context() as patched:
+                keep_every_trial(patched)
+                every = search_fits(x, y)
+            for got, expected in zip(fits, every):
+                assert_same_fit(got, expected, skip={"n_csteps_total"})
+            assert fits[0].n_csteps_total <= every[0].n_csteps_total
+        assert all(dropped)
+
+    @pytest.mark.parametrize("n", [601, 1000, 2000])
+    def test_nested_searches_find_no_higher_objective(self, monkeypatch, n):
+        # copies no longer take the union phase's keep slots, so more distinct row
+        # sets reach refinement
+        for p, seed in ((2, 0), (4, 1)):
+            rng = np.random.default_rng(10 * n + seed)
+            data = random_regression(rng, n, p + 1, outlier_fraction=0.2)
+            x, y = data.design_matrix()[:, 1:], data.response_vector()
+            fits = search_fits(x, y)
+            with monkeypatch.context() as patched:
+                keep_every_trial(patched)
+                every = search_fits(x, y)
+            assert fits[0].objective <= every[0].objective
+            assert fits[1].raw_determinant <= every[1].raw_determinant
+
+    @pytest.mark.parametrize("estimator", ["lts", "mcd"])
+    def test_refinement_runs_one_trial_per_distinct_row_set(self, monkeypatch, estimator):
+        # the refinement C-steps fit the same row sets as the search that refines
+        # every copy, in fewer trials
+        x, y = leverage_design()
+        runs = []
+        for keep_every in (False, True):
+            with monkeypatch.context() as patched:
+                if keep_every:
+                    keep_every_trial(patched)
+                phases = spy_on_phases(patched)
+                steps, step = [], concentration._c_step
+
+                def spy(*args):
+                    out = step(*args)
+                    steps.append((len(phases), {m.tobytes() for m in out[3]}, len(out[3])))
+                    return out
+                patched.setattr(concentration, "_c_step", spy)
+                fit_lts(make_dataset(x, y)) if estimator == "lts" else fit_mcd(x)
+            given = phases[-1][0][1]  # the rows refinement starts from
+            runs.append((given, [s[1:] for s in steps if s[0] == len(phases) - 1]))
+        (given, once), (given_every, every) = runs
+        assert len(given) < len(given_every) == LtsConfig().n_best_kept
+        assert len({r.tobytes() for r in given}) == len(given)
+        assert once and len(once) == len(every)
+        for (masks, trials), (masks_every, _) in zip(once, every):
+            assert masks == masks_every and trials <= len(given)
+        assert sum(t for _, t in once) < sum(t for _, t in every)
