@@ -6,25 +6,27 @@ Run from the repository root:
     python3 scripts/output_digests.py --check   # compare with it; exit 1 if any output moved
 
 The inputs are those of the benchmark (perfbench.workloads.build) for the
-workloads small_mixed, large_n and oracle_small at seeds 0, 1 and 2. Each
-analysis runs through hibreak.cli.main in this process once per report
+workloads small_mixed, large_n and oracle_small at seeds 0, 1 and 2, plus
+one seeded 20,000-row design (perfbench.workloads.contaminated, p = 4), above
+the 10,000 elements from which OpenBLAS splits a dot product across threads.
+Each analysis runs through hibreak.cli.main in this process once per report
 format (json, markdown, tsv), each run writing its --plot-data outlier map:
-180 reports and 180 maps. BLAS is pinned to one thread. The last bits of a
-report depend on the numpy and BLAS build and on the thread count, so the
-file records them beside the digests, and --check names them when they
-differ. For that reason this check is not part of the test suite or CI.
-A change that moves outputs on purpose rewrites the file and says which
-outputs moved and why.
+183 reports and 183 maps. BLAS runs on the thread count the environment
+sets (OPENBLAS_NUM_THREADS and the like), one where it sets none; the
+outputs do not depend on it, so --check passes at any count. Their last
+bits do depend on the numpy and BLAS build, so the file records those
+beside the digests, and --check names them when they differ. For that
+reason this check is not part of the test suite or CI. A change that moves
+outputs on purpose rewrites the file and says which outputs moved and why.
 """
 
 from __future__ import annotations
 
 import os
 
-# Pinned before numpy is imported.
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_VARS:
-    os.environ[_var] = "1"
+# Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -60,7 +62,6 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
-        "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
     }
 
 
@@ -77,20 +78,40 @@ def run(argv: list[str], plot: Path) -> dict:
     }
 
 
+def above_10000(workdir: Path) -> workloads.Analysis:
+    """The 20,000-row, p = 4 analysis, its CSV written as build writes its own."""
+    n, p = 20000, 4
+    x, y, _ = workloads.contaminated(np.random.default_rng(0), n, p)
+    names = [f"x{j + 1}" for j in range(p)]
+    path = workdir / f"n{n}_p{p}.csv"
+    workloads.write_csv(path, ["label", "y", *names], [f"r{i}" for i in range(n)],
+                        np.column_stack([y, x]))
+    argv = ["analyze", str(path), "--response", "y", "--predictors", ",".join(names),
+            "--format", "json"]
+    return workloads.Analysis(path.stem, argv, None, frozenset(), x, y)
+
+
+def analyses(tmp: Path):
+    """(workload, seed, analysis) of each benchmark input, then of the 20,000-row one."""
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            workdir = tmp / f"{workload}-{seed}"
+            workdir.mkdir()
+            for analysis in workloads.build(workload, seed, workdir):
+                yield workload, seed, analysis
+    yield "above_10000", 0, above_10000(tmp)
+
+
 def digests() -> dict:
     """{"<workload> seed=<seed> <analysis> <format>": run(...)} for every output."""
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                workdir = Path(tmp) / f"{workload}-{seed}"
-                workdir.mkdir()
-                for analysis in workloads.build(workload, seed, workdir):
-                    plot = analysis.plot_path or workdir / f"{analysis.name}.map.json"
-                    extra = [] if analysis.plot_path else ["--plot-data", str(plot)]
-                    for fmt in FORMATS:
-                        key = f"{workload} seed={seed} {analysis.name} {fmt}"
-                        outputs[key] = run(analysis.with_format(fmt) + extra, plot)
+        for workload, seed, analysis in analyses(Path(tmp)):
+            plot = analysis.plot_path or Path(analysis.argv[1]).with_suffix(".map.json")
+            extra = [] if analysis.plot_path else ["--plot-data", str(plot)]
+            for fmt in FORMATS:
+                key = f"{workload} seed={seed} {analysis.name} {fmt}"
+                outputs[key] = run(analysis.with_format(fmt) + extra, plot)
     return outputs
 
 

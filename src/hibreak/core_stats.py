@@ -257,8 +257,9 @@ def gaussian_quantile(p: float) -> float:
 
 
 def mean_and_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise mean and sample covariance (denominator n-1) of an n x p matrix or a (T, n, p) stack."""
-    x = np.asarray(x, dtype=float)
+    """Columnwise mean and sample covariance (denominator n-1) of an n x p matrix or a (T, n, p)
+    stack, computed on C-ordered values: the bits depend on the values, not the memory layout."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim not in (2, 3):
         raise ValueError(f"expected an n x p matrix or a stack of them, got shape {x.shape}")
     n, p = x.shape[-2:]

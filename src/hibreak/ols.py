@@ -178,12 +178,12 @@ def _finite(*sums):
 def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> RegressionFit:
     """OLS fit of the dataset's model, optionally excluding labelled rows.
 
-    Standard errors come from sigma^2 * diag((X'X)^-1) with
-    sigma^2 = RSS / (n_used - K); R^2 uses centered TSS when an intercept
-    is present and uncentered TSS otherwise; with TSS = 0 it is 1 for an
-    exact fit (RSS = 0) and 0 otherwise. The overall F excludes the
-    intercept from the numerator (K-1 numerator df) and is reported as 0
-    for intercept-only fits.
+    Standard errors come from sigma^2 * diag((X'X)^-1) with sigma^2 = RSS / (n_used - K);
+    R^2 uses centered TSS when an intercept is present and uncentered TSS otherwise; with
+    TSS = 0 it is 1 for an exact fit (RSS = 0) and 0 otherwise. The overall F excludes the
+    intercept from the numerator (K-1 numerator df) and is reported as 0 for intercept-only
+    fits. RSS and TSS are np.sum reductions, not BLAS dot products, so that no bit of them
+    depends on the BLAS thread count.
     """
     exclude = frozenset(exclude)
     unknown = exclude - set(data.row_labels)
@@ -206,8 +206,8 @@ def fit_ols(data: Dataset, exclude: set[str] | frozenset[str] = frozenset()) -> 
 
     residuals = y - x @ beta
     with np.errstate(over="ignore", invalid="ignore"):
-        tss = float(np.sum((y - y.mean()) ** 2)) if data.has_intercept else float(y @ y)
-        rss, tss = _finite(float(residuals @ residuals), tss)
+        tss = np.sum((y - y.mean()) ** 2 if data.has_intercept else y**2)
+        rss, tss = _finite(float(np.sum(residuals**2)), float(tss))
     df_resid = n_used - k
     sigma2 = rss / df_resid
     se = np.sqrt(sigma2 * spd_inverse_diag(low))

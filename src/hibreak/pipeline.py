@@ -89,30 +89,22 @@ class AnalysisReport:
     mcd_estimate: McdEstimate | None = field(default=None, repr=False)
 
 
-def _csv_rows(raw: bytes):
-    """The csv.reader rows of raw; text that is not UTF-8 or that csv rejects raises ParseError."""
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+def _csv_rows(text: str):
+    """The csv.reader rows of text; text that csv rejects raises ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from reader
     except csv.Error as err:
         n_read = reader.line_num
         raise ParseError(n_read, "", f"cannot read the CSV after {n_read} lines: {err}") from None
-    except UnicodeDecodeError:
-        # The text layer decodes ahead of the reader, so the bad line is found in the bytes.
-        for row, line in enumerate(raw.splitlines()):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
-        raise
 
 
-def _parse_rows(raw: bytes) -> tuple[list[str], list[str], np.ndarray]:
+def _parse_rows(text: str) -> tuple[list[str], list[str], np.ndarray]:
     """(header cells, row labels, values) of any CSV, row by row with csv and float().
 
     ParseError carries the 1-based data row (blank lines count) and the column name.
     """
-    reader = _csv_rows(raw)
+    reader = _csv_rows(text)
     header = next(reader, None)
     if not header:
         raise ParseError(0, "", "file has no header row")
@@ -148,18 +140,14 @@ def _parse_rows(raw: bytes) -> tuple[list[str], list[str], np.ndarray]:
 _ROW_PARSER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
 
 
-def _read_plain(raw: bytes) -> tuple[list[str], list[str], np.ndarray] | None:
+def _read_plain(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
     """_parse_rows's result for a plain, valid file, from one np.loadtxt pass; else None.
 
     loadtxt converts each cell with PyOS_string_to_double, as float() does, so
-    the values get the same bits. A file outside that lane (not UTF-8, a
-    character above, an empty header, a line over csv's field limit, a cell
-    count, label, cell or value the row parser would reject) gives None.
+    the values get the same bits. A file outside that lane (a character
+    above, an empty header, a line over csv's field limit, a cell count,
+    label, cell or value the row parser would reject) gives None.
     """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
     lines = text.split("\n")
     header = lines[0].split(",")
     if (len(header) < 2 or any(char in text for char in _ROW_PARSER_CHARS)
@@ -184,14 +172,23 @@ def _read_plain(raw: bytes) -> tuple[list[str], list[str], np.ndarray] | None:
 def load_csv(path: str, model: ModelSpec) -> Dataset:
     """Read a dataset: header row, label column first, numeric cells.
 
-    ParseError carries the 1-based data row and the offending column name;
-    NaN and infinite cells are rejected. A plain file is read by one
-    np.loadtxt pass, any other by the csv module row by row; both give the
-    same values, bit for bit, and the same errors.
+    ParseError carries the 1-based data row and the offending column name; NaN and infinite
+    cells are rejected. The file is decoded first, so one that is not UTF-8 fails at its
+    first line that is not, before any cell is read. A plain file is then read by one
+    np.loadtxt pass, any other by the csv module row by row; both give the same values,
+    bit for bit, and the same errors.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    header, labels, values = _read_plain(raw) or _parse_rows(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:  # lines end at ASCII bytes, so the bad one fails alone too
+        for row, line in enumerate(raw.splitlines()):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
+    header, labels, values = _read_plain(text) or _parse_rows(text)
     return Dataset(
         row_labels=tuple(labels),
         column_names=tuple(name.strip() for name in header[1:]),

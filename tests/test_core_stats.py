@@ -478,12 +478,13 @@ class TestMeanAndCov:
 
     def test_stack_matches_each_matrix_bit_for_bit(self, rng):
         x = rng.normal(size=(6, 12, 3)) * 1e3 + 7.0
-        center, scatter = mean_and_cov(x)
-        assert center.shape == (6, 3) and scatter.shape == (6, 3, 3)
-        for t in range(6):
-            alone = mean_and_cov(x[t])
-            assert center[t].tobytes() == alone[0].tobytes()
-            assert scatter[t].tobytes() == alone[1].tobytes()
+        for stack in (x, np.asfortranarray(x)):  # the memory layout moves no bit
+            center, scatter = mean_and_cov(stack)
+            assert center.shape == (6, 3) and scatter.shape == (6, 3, 3)
+            for t in range(6):
+                for alone in (mean_and_cov(x[t]), mean_and_cov(np.asfortranarray(x[t]))):
+                    assert center[t].tobytes() == alone[0].tobytes()
+                    assert scatter[t].tobytes() == alone[1].tobytes()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):

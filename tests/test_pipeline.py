@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import OrderedDict
@@ -139,8 +140,9 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(("n", "bad_row"), [(20, 3), (3000, 2500)])
     def test_non_utf8_names_its_row(self, tmp_path, n, bad_row):
-        # the text layer decodes 8 KB ahead of the reader; the row is the bad line's
+        # a bad cell in row 2 comes first in the file, near the bad line or far from it
         lines = ["label,y,x1"] + [f"r{i},{2 * i + 1},{i}" for i in range(1, n + 1)]
+        lines[2] = "r2,5,oops"
         lines[bad_row] = lines[bad_row].replace(f"r{bad_row},", f"caf\xe9{bad_row},")
         path = tmp_path / "latin1.csv"
         path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
@@ -674,3 +676,23 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("var\t")
+
+    def test_json_report_at_any_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product of over 10,000 elements across its threads
+        rng = np.random.default_rng(20000)
+        x = rng.standard_normal((20000, 2))
+        y = 1.0 + x.sum(axis=1) + rng.standard_normal(20000)
+        y[:4000] += 12.0
+        path = tmp_path / "rows.csv"
+        path.write_text("c,y,x1,x2\n" + "".join(
+            f"r{i},{v!r},{a!r},{b!r}\n" for i, (v, a, b) in enumerate(zip(y.tolist(), *x.T.tolist()))))
+        reports = [
+            subprocess.run(
+                [sys.executable, "-m", "hibreak.cli", "analyze", str(path),
+                 "--response", "y", "--predictors", "x1,x2", "--format", "json"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert reports[0] == reports[1]
