@@ -1,7 +1,7 @@
 """Command line entry point: hibreak analyze <csv> --response ... --predictors ...
 
 Exit codes: 0 success, 2 unreadable or unusable input (InputError, OSError),
-3 numerical failure (NumericalError), 4 bad flags; README has the full table.
+3 numerical failure (NumericalError, MemoryError), 4 bad flags; README has the full table.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as err:
         print(f"hibreak: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as err:  # includes the PipelineStageError of each stage
-        print(f"hibreak: numerical failure: {err}", file=sys.stderr)
+    except (NumericalError, MemoryError) as err:  # a stage's PipelineStageError, or arrays too big
+        print(f"hibreak: numerical failure: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     print(render_report(report, args.format, oracle=oracle))

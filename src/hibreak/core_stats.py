@@ -26,19 +26,19 @@ _NEWTON_LAST_STEP = 1e-9  # in log(x); Newton's next error is about its square
 def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a float (T, K, K) stack of symmetric matrices via LAPACK.
 
-    ok[t] is False when LAPACK rejects a[t] or it fails the relative pivot
-    test, every L[j, j]**2 > PIVOT_RTOL * max(diag(a[t])), the signature of
-    collinear input; that factor becomes the identity, so one bad matrix
-    never fails the others. The factors are stored stack axis innermost
-    (Fortran order), so that reductions over their diagonals, here and in
-    factor_determinant, run along the stack, not as T reductions over K;
-    the diagonal of a is copied to that layout for its maximum.
+    ok[t] is False when LAPACK rejects a[t] or it fails the pivot test, every
+    L[j, j]**2 > PIVOT_RTOL * a[t][j, j], the signature of collinear input; that factor
+    becomes the identity, so one bad matrix never fails the others. L[j, j]**2 / a[j, j]
+    is 1 - R**2 of column j on the columns before it, so rescaling a column changes no
+    verdict. The factors are stored stack axis innermost (Fortran order), so that
+    reductions over their diagonals, here and in factor_determinant, run along the
+    stack, not as T reductions over K; the diagonal of a is copied to that layout.
     """
     # No public numpy function factors a stack and reports failures per matrix.
     with np.errstate(all="ignore"):
         low = _umath_linalg.cholesky_lo(a, signature="d->d", out=np.empty(a.shape, order="F"))
-    # min(L[j, j])**2 is min(L[j, j]**2): a pivot is positive, or NaN where LAPACK failed
-    ok = low.diagonal(0, -2, -1).min(-1) ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).T.copy().max(0)
+    # NaN, where LAPACK failed, fails the comparison
+    ok = (low.diagonal(0, -2, -1).T ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).T.copy()).all(0)
     low[~ok] = np.eye(a.shape[-1])
     return low, ok
 
@@ -51,8 +51,8 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     low, ok = spd_factor(np.asarray(a)[None])
     if not ok[0]:
         raise NotPositiveDefinite(
-            f"matrix is not positive definite (a Cholesky pivot is at or below "
-            f"{PIVOT_RTOL:g} * max(diag), or LAPACK rejected it)")
+            f"matrix is not positive definite (a squared Cholesky pivot is at or below "
+            f"{PIVOT_RTOL:g} times its diagonal entry, or LAPACK rejected it)")
     return low[0]
 
 

@@ -9,6 +9,7 @@ vertical outliers only when the residual is severe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -66,15 +67,13 @@ class DiagnosticList(UserList):
     read them. Not a list subclass, whose storage C code would read empty.
     """
 
-    def __getattr__(self, name):  # reached only while an attribute is unset
-        if name != "data" or "columns" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @functools.cached_property
+    def data(self):  # UserList.__init__ assigns data, so only classify_all's value builds it
         c = self.columns
-        self.data = [
+        return [
             DiagnosticRecord(label, sr, rd, c["sr_cutoff"], c["rd_cutoff"], _CLASS_OF_VALUE[cls], drop)
             for label, sr, rd, cls, drop in zip(c["label"], c["sr"], c["rd"], c["class"], c["drop"])
         ]
-        return self.data
 
     def __len__(self):
         return len(self.data if "data" in vars(self) else self.columns["label"])

@@ -51,12 +51,14 @@ class TestDiscard:
         good = m.transpose(0, 2, 1) @ m
         col = rng.normal(size=3)
         singular = np.outer(col, col)  # LAPACK rejects it
-        tiny_pivot = np.diag([1.0, 1e-14, 1.0])  # LAPACK factors it; the pivot test does not
-        low, ok = spd_factor(np.stack([good[0], singular, good[1], tiny_pivot]))
-        np.testing.assert_array_equal(ok, [True, False, True, False])
+        near = np.eye(3)
+        near[1:, 1:] = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]  # LAPACK factors it; the pivot test does not
+        small = np.diag([1.0, 1e-14, 1.0])  # a column at its own scale, not a collinear one
+        low, ok = spd_factor(np.stack([good[0], singular, good[1], near, small]))
+        np.testing.assert_array_equal(ok, [True, False, True, False, True])
         np.testing.assert_array_equal(low[1], np.eye(3))
         np.testing.assert_array_equal(low[3], np.eye(3))
-        for t, g in ((0, good[0]), (2, good[1])):
+        for t, g in ((0, good[0]), (2, good[1]), (4, small)):
             np.testing.assert_array_equal(low[t], np.linalg.cholesky(g))
 
     def test_collinear_lts_trial_dropped_alone(self, rng):

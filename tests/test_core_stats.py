@@ -108,6 +108,11 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd(x.T @ x, np.array([1.0, 1.0]))
 
+    def test_small_column_is_judged_at_its_own_scale(self):
+        # a pivot is tested against its own diagonal entry, not the largest one
+        x = solve_spd(np.diag([1.0, 1e-14, 1.0]), np.array([2.0, 3e-14, 4.0]))
+        np.testing.assert_allclose(x, [2.0, 3.0, 4.0], rtol=1e-15)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
@@ -156,8 +161,8 @@ def factor_alone(a):
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return np.eye(len(a)), False
-    cut = PIVOT_RTOL * max(np.diag(a).tolist())
-    if not all(v * v > cut for v in np.diag(low).tolist()):  # NaN fails
+    pivots, entries = np.diag(low).tolist(), np.diag(a).tolist()
+    if not all(v * v > PIVOT_RTOL * d for v, d in zip(pivots, entries)):  # NaN fails
         return np.eye(len(a)), False
     return low, True
 
@@ -170,14 +175,18 @@ def determinant_alone(low):
 
 def reduction_stack(rng, k):
     """SPD matrices at unit, huge and tiny scale, and between them an exactly zero pivot
-    (LAPACK rejects it: NaN), a NaN entry (a NaN pivot) and a tiny pivot."""
+    (LAPACK rejects it: NaN), a NaN entry (a NaN pivot), a tiny column and, last, a
+    near-collinear pair of columns (a tiny pivot against its own diagonal entry; k >= 2)."""
     good = [random_spd(rng, k) for _ in range(3)]
     zero_pivot = np.diag(np.r_[np.ones(k - 1), 0.0])
     nan_entry = good[0].copy()
     nan_entry[-1, -1] = np.nan
-    tiny_pivot = np.diag(np.r_[np.ones(k - 1), 1e-14])
+    tiny_column = np.diag(np.r_[np.ones(k - 1), 1e-14])
+    near = np.eye(k)
+    near[-2:, -2:] = 1.0
+    near[-1, -1] += 1e-14
     return np.stack([good[0], zero_pivot, good[1] * 1e300, nan_entry, good[2] * 1e-300,
-                     tiny_pivot, good[1]])
+                     tiny_column, good[1], near])
 
 
 class TestStackReductions:
@@ -197,7 +206,7 @@ class TestStackReductions:
                 assert alone_ok == want_ok
                 np.testing.assert_array_equal(alone_low, want_low)
                 assert factor_determinant(want_low) == det[t]
-        assert ok.tolist()[:4] == [True, False, True, False] and ok[6]
+        assert ok.tolist() == [True, False, True, False, True, True, True, k == 1]
 
 
 class TestScalarCholesky:
@@ -212,7 +221,7 @@ class TestScalarCholesky:
 
     @pytest.mark.parametrize("a", [
         np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
-        np.diag([1.0, 1e-14, 1.0]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
         np.array([[2.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 2.0]]),
     ], ids=["singular_outer_product", "tiny_pivot", "nan_entry"])
     def test_rejects_what_the_batched_factor_rejects(self, a):

@@ -225,9 +225,16 @@ class TestFitLts:
     @pytest.mark.parametrize("scale", [1e150, 1e160])
     def test_objective_past_the_float_range_degenerates(self, scale):
         # pytest turns a RuntimeWarning into an error, so the overflow must stay silent
-        x, y = np.random.default_rng(0).standard_normal((2, 30)) * scale
-        with pytest.raises(AllStartsDegenerate):
-            fit_lts(make_dataset(x, y))
+        x, y = np.random.default_rng(0).standard_normal((2, 30))
+        if scale == 1e160:  # X'X overflows
+            with pytest.raises(AllStartsDegenerate):
+                fit_lts(make_dataset(x * scale, y * scale))
+            return
+        # at 1e150 the objective, about 1e301, is still finite: the fit is the unscaled one
+        fit, big = fit_lts(make_dataset(x, y)), fit_lts(make_dataset(x * scale, y * scale))
+        np.testing.assert_array_equal(big.h_subset, fit.h_subset)
+        np.testing.assert_allclose(big.coefficients, fit.coefficients * [scale, 1.0], rtol=1e-9)
+        assert np.isclose(big.objective, fit.objective * scale**2, rtol=1e-9)
 
     def test_csteps_counted_and_converged(self, rng):
         data = random_regression(rng, 40, 2, outlier_fraction=0.2)

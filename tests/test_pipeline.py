@@ -527,6 +527,15 @@ class TestCli:
         assert "numerical failure" in err and "mcd" in err
         assert "Traceback" not in err
 
+    def test_starts_past_the_address_space_exit_3(self, tmp_path, capsys):
+        # a (10**15, k + 1) start array is refused before any memory is touched
+        path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1",
+                     "--starts", str(10**15)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hibreak: numerical failure: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("body", ["", "a,1.0,0.5,2.0\nb,2.0,1.5,1.0\nc,2.5,2.0,3.5\n"])
     def test_fewer_rows_than_coefficients_exit_2(self, tmp_path, capsys, body):
         # const, x1 and x2 need at least 4 rows
