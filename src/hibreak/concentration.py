@@ -5,11 +5,12 @@ schedule: many small starts take two concentration steps (C-steps) each,
 then the n_best_kept best iterate to convergence. A C-step refits on the
 h rows that score lowest under the current fit, which never increases
 the objective. Each part is one _phase, rows in and rows out, batched as
-(T, n) scores, their 0/1 masks of the h lowest and fits from mask times
-per-row terms (one matmul), all written into one workspace per search.
-Above NESTED_MIN_N rows, disjoint random subsamples screen the starts and
-their union the rows the best of each select, so the start phase does not
-grow with n (the nested extension of both papers).
+(T, n) scores, their 0/1 masks of the h lowest (one partition per C-step)
+and fits from mask times per-row terms (one matmul), all written into one
+two-buffer workspace per search. Above NESTED_MIN_N rows, disjoint random
+subsamples screen the starts and their union the rows the best of each
+select, so the start phase does not grow with n (the nested extension of
+both papers).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ NESTED_MIN_N = 600
 SUBSAMPLE_ROWS = 300
 MAX_SUBSAMPLES = 5
 
-# Memory budget of a block of T trials: entries of one of its (T, n) score
-# arrays or (T, c) sums of the n x c per-row terms.
+# Memory budget of a block of T trials: entries of its (T, c) sums of the n x c
+# per-row terms, and half as many again for each of its two (T, n) arrays.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -50,17 +51,18 @@ class Model:
 
     fit(terms summed over each trial's rows, row count, out) returns (params,
     objectives, ok): a tuple of arrays with a leading trial axis, and the
-    (T,) objectives and non-degenerate mask. score(params, out) gives the
-    (T, n) scores a C-step ranks rows by; both may write into out, a pair of
-    (T, n) arrays, or allocate if None. refit is the estimator's exact subset
-    evaluator (lts.evaluate_subsets or mcd.evaluate_subsets, which its
-    oracle and public C-step use too); one call on the stacked rows of the
-    refined trials ranks them and gives the winner's estimate.
+    (T,) objectives and non-degenerate mask. select(params, out) gives the
+    (T, n) 0/1 masks of the h rows each fit scores lowest in out[1], which
+    the next fit may reuse once it has their sums; both write into out, a
+    pair of (T, n) arrays, or allocate if None. refit is the estimator's
+    exact subset evaluator (lts.evaluate_subsets or mcd.evaluate_subsets,
+    which its oracle and public C-step use too); one call on the stacked
+    rows of the refined trials ranks them and gives the winner's estimate.
     """
 
     terms: np.ndarray
     fit: Callable[..., tuple[tuple, np.ndarray, np.ndarray]]
-    score: Callable[..., np.ndarray]
+    select: Callable[..., np.ndarray]
     refit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[[int], Any]]]
 
 
@@ -88,10 +90,13 @@ def partitioned(a: np.ndarray, kth: int, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def lowest_mask(scores: np.ndarray, h: int, out=(None, None)) -> np.ndarray:
-    """0/1 mask of the h lowest of each row of scores (ties: lowest index); out = (scratch, mask)."""
-    kth = partitioned(scores, h - 1, out[0])[:, h - 1 : h]
-    mask = np.less_equal(scores, kth, out=np.empty(scores.shape) if out[1] is None else out[1])
+def lowest_mask(scores: np.ndarray, h: int, out=None, kth=None) -> np.ndarray:
+    """0/1 mask in out (None: new) of the h lowest of each row of scores (ties: lowest index);
+    a (T, 1) kth, each row's h-th lowest, spares partitioning a copy of scores in out."""
+    if kth is None:
+        out = partitioned(scores, h - 1, out)
+        kth = out[:, h - 1 : h].copy()  # the mask overwrites out
+    mask = np.less_equal(scores, kth, out=np.empty(scores.shape) if out is None else out)
     tie = np.flatnonzero(mask.sum(axis=1) > h)  # more than h at or below kth
     if tie.size:
         below, tied = scores[tie] < kth[tie], scores[tie] == kth[tie]
@@ -170,17 +175,16 @@ def _take(params: tuple, index) -> tuple:
 
 
 def _views(work: list | None, shape: tuple) -> list:
-    """Scores, scratch and mask arrays of shape in work's three flat buffers, grown to fit (None: new)."""
-    work, size = work or [np.empty(0)] * 3, shape[0] * shape[1]
+    """Scores and scratch (partition, then mask) of shape in work's two buffers, grown (None: new)."""
+    work, size = work or [np.empty(0)] * 2, shape[0] * shape[1]
     if len(work[0]) < size:
-        work[:] = np.empty((3, size))  # one allocation: malloc keeps it for the next search
+        work[:] = np.empty((2, size))  # one allocation: malloc keeps it for the next search
     return [buffer[:size].reshape(shape) for buffer in work]
 
 
 def _c_step(model: Model, params: tuple, h: int, work: list | None = None):
-    *out, mask = _views(work, (len(params[0]), model.terms.shape[0]))
-    mask = lowest_mask(model.score(params, out), h, (out[1], mask))
-    return (*model.fit(mask @ model.terms, h, out), mask)
+    out = _views(work, (len(params[0]), model.terms.shape[0]))
+    return model.fit(model.select(params, out) @ model.terms, h, out)
 
 
 def _distinct(masks: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,19 +212,20 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
     Returns (trial, rows, objective, converged, n_csteps): trial indexes
     starts, ranked, and n_csteps counts the C-steps that did not turn degenerate.
     """
-    n, block, n_csteps = model.terms.shape[0], max(1, _BLOCK_ELEMENTS // max(model.terms.shape)), 0
+    (n, c), n_csteps = model.terms.shape, 0
+    block = max(1, min(3 * _BLOCK_ELEMENTS // (2 * n), _BLOCK_ELEMENTS // c))
     finished = []  # (objectives, trials, converged, *params) of stopped trials
     for first in range(0, len(starts), block):
         trial = np.arange(first, min(first + block, len(starts)))
-        *out, mask = _views(work, (len(trial), n))
-        mask[...] = 0.0
-        np.put_along_axis(mask, starts[trial], 1.0, axis=1)
-        params, new, ok = model.fit(mask @ model.terms, starts.shape[1], out)
+        out = _views(work, (len(trial), n))
+        out[1][...] = 0.0
+        np.put_along_axis(out[1], starts[trial], 1.0, axis=1)
+        params, new, ok = model.fit(out[1] @ model.terms, starts.shape[1], out)
         old = new if objective is None else objective[trial]
         for step in range(steps + 1):
             if step:
                 old, trial, params = new[live], trial[live], params if live.all() else _take(params, live)
-                params, new, ok, _ = _c_step(model, params, h, work)
+                params, new, ok = _c_step(model, params, h, work)
                 n_csteps += int(ok.sum())
             converged = old - new <= CONVERGENCE_RTOL * old
             done = ok & ((converged & (objective is not None)) | (step == steps))
@@ -236,7 +241,7 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
     if not optional and not sum(len(f[1]) for f in finished):  # finished is [] without starts
         raise AllStartsDegenerate(f"all {len(starts)} trials on {n} rows with h={h} turned degenerate")
     objective, trial, converged, *params = finished[0]
-    mask = lowest_mask(model.score(tuple(params)), h)
+    mask = model.select(tuple(params))
     kept, last = _distinct(mask, h)
     rows = np.nonzero(mask[kept])[1].reshape(len(kept), h)
     return trial[kept], rows, objective[last], converged[kept], n_csteps
@@ -279,7 +284,7 @@ def run_search(
     whole search: a model's fit marks a trial whose objective or estimate
     is not finite as degenerate. Every phase shares one workspace (_views).
     """
-    work = [np.empty(0)] * 3
+    work = [np.empty(0)] * 2
     if h >= n or n <= NESTED_MIN_N:
         starts = np.arange(n)[None] if h >= n else draw_starts(n, dim, config)
         return concentrate(make_model(slice(None), h), starts, h, config, work)

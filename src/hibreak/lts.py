@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, check_search_config, lowest_rows, partitioned, run_search
+from .concentration import Model, check_search_config, lowest_mask, lowest_rows, partitioned, run_search
 from .core_stats import cho_apply, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite
 from .ols import Dataset
@@ -124,10 +124,13 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
         beta = cho_apply(low, sums[:, k * k :])
         r2 = np.matmul(beta, x.T, out=out[0])  # (y - beta @ x.T) ** 2, in place
         np.square(np.subtract(y, r2, out=r2), out=r2)
-        objective = partitioned(r2, h - 1, out[1])[:, :h].sum(axis=1)
-        return (beta, r2), objective, ok & np.isfinite(objective)  # overflowed: degenerate
+        lowest = partitioned(r2, h - 1, out[1])  # the objective, and the next selection's threshold
+        objective = lowest[:, :h].sum(axis=1)
+        ok &= np.isfinite(objective)  # overflowed: degenerate
+        return (beta, r2, lowest[:, h - 1 : h].copy()), objective, ok  # select overwrites out[1]
 
-    return Model(terms=terms, fit=fit, score=lambda params, out=None: params[1],
+    return Model(terms=terms, fit=fit,
+                 select=lambda params, out=(None, None): lowest_mask(params[1], h, out[1], params[2]),
                  refit=lambda subsets: evaluate_subsets(x, y, subsets, h))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import Model, check_search_config, lowest_rows, run_search
+from .concentration import Model, check_search_config, lowest_mask, lowest_rows, run_search
 from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
 from .core_stats import mean_and_cov, spd_factor, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
@@ -116,14 +116,14 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         ok &= np.isfinite(precision).all(axis=(1, 2)) & np.isfinite(det)
         return (mean, precision), det, ok
 
-    def score(params, out=(None, None)):
+    def select(params, out=(None, None)):
         mean, precision = params
         pm = (precision @ mean[:, :, None])[:, :, 0]
         scores = np.matmul(precision.reshape(len(mean), p * p), squares.T, out=out[0])
         scores -= np.multiply(np.matmul(pm, xc.T, out=out[1]), 2.0, out=out[1])
-        return np.add(scores, np.sum(mean * pm, axis=1)[:, None], out=scores)
+        return lowest_mask(np.add(scores, np.sum(mean * pm, axis=1)[:, None], out=scores), h, out[1])
 
-    return Model(terms=terms, fit=fit, score=score,
+    return Model(terms=terms, fit=fit, select=select,
                  refit=lambda subsets: evaluate_subsets(x, subsets))
 
 

@@ -139,7 +139,8 @@ class TestPublicStepsAgreeWithDriver:
             if not ok[0]:
                 continue
             beta0 = params[0][0]
-            _, objective, ok, mask = concentration._c_step(model, params, h)
+            mask = model.select(params)
+            _, objective, ok = concentration._c_step(model, params, h)
             try:
                 _, public_objective, subset = c_step(data, beta0, h)
             except NotPositiveDefinite:
@@ -158,7 +159,8 @@ class TestPublicStepsAgreeWithDriver:
             params, _, ok = model.fit(start_mask(30, start) @ model.terms, 3)
             if not ok[0]:
                 continue
-            _, det, ok, mask = concentration._c_step(model, params, h)
+            mask = model.select(params)
+            _, det, ok = concentration._c_step(model, params, h)
             center, cov = mean_and_cov(x[start])
             try:
                 new_center, new_cov, subset, public_det = mcd_c_step(x, center, cov, h)
@@ -498,7 +500,7 @@ class TestPhaseLoop:
         masks = np.zeros((len(given), 200))
         np.put_along_axis(masks, given, 1.0, axis=1)
         params, _, _ = model.fit(masks @ model.terms, h)
-        selected = concentration.lowest_mask(model.score(params), h)
+        selected = model.select(params)
         for i, t in enumerate(trial):
             np.testing.assert_array_equal(rows[i], np.flatnonzero(selected[t]))
         moved = [not np.array_equal(rows[i], given[t]) for i, t in enumerate(trial)]
@@ -507,13 +509,13 @@ class TestPhaseLoop:
         assert any(np.array_equal(search.rows, r) for r in got[1])
 
     def test_screening_takes_at_most_keep_fits_out_of_the_workspace(self, rng, monkeypatch):
-        # 500 starts on 200 rows run in 4 blocks of at most 163 trials; each
+        # 500 starts on 200 rows run in 3 blocks of at most 245 trials; each
         # block's stopped LTS trials carry (T, 200) squared residuals in the
         # workspace, and only the best 3 of them may be copied out
         data = random_regression(rng, 200, 5, outlier_fraction=0.2)
         model = lts._search_model(data.design_matrix(), data.response_vector(), 150)
         starts = concentration.draw_starts(200, 4, LtsConfig())
-        work, taken, take = [np.empty(0)] * 3, [], concentration._take
+        work, taken, take = [np.empty(0)] * 2, [], concentration._take
 
         def spy(params, index):
             out = take(params, index)
@@ -522,7 +524,7 @@ class TestPhaseLoop:
             return out
         monkeypatch.setattr(concentration, "_take", spy)
         got = concentration._phase(model, starts, 150, 2, 3, work=work)
-        assert taken and max(taken) <= 3 and sum(taken) <= 3 * 4
+        assert taken and max(taken) <= 3 and sum(taken) <= 3 * 3
         trial, rows, *_ = every = rerun_keeping_every_trial(
             monkeypatch, (model, starts, 150, 2, 3), {})
         assert rows.shape == (3, 150) and len(set(trial)) == 3
@@ -632,7 +634,7 @@ class TestWorkspace:
         mask = np.zeros((40, 60))
         np.put_along_axis(mask, starts, 1.0, axis=1)
         fresh, _, ok = model.fit(mask @ model.terms, 3)
-        kept, work, compacted = fresh, [np.empty(0)] * 3, 0
+        kept, work, compacted = fresh, [np.empty(0)] * 2, 0
         for step in range(4):
             if not ok.any():
                 break
@@ -640,13 +642,19 @@ class TestWorkspace:
             fresh = concentration._take(fresh, ok)
             kept = kept if ok.all() else concentration._take(kept, ok)
             compacted += not ok.all()
+            selected = model.select(fresh)
+            assert_same_bits(model.select(kept), selected)  # kept's LTS scores are in work[0]
             expected = concentration._c_step(model, fresh, 45)
             got = concentration._c_step(model, kept, 45, work)
             for a, b in zip((*got[0], *got[1:]), (*expected[0], *expected[1:])):
                 assert_same_bits(a, b)
-            assert np.shares_memory(got[3], work[2])
-            if estimator == "lts":  # the squared residuals, the next step's scores
+            scratch = work[1][: selected.size].reshape(selected.shape)
+            assert len(work) == 2
+            if estimator == "lts":  # the squared residuals, the next step's scores, and their partition
                 assert np.shares_memory(got[0][1], work[0])
+                assert_same_bits(scratch[:, 44:45], got[0][2])
+            else:  # the step's mask, which its fit leaves in place
+                assert_same_bits(scratch, selected)
             fresh, kept, ok = expected[0], got[0], expected[2]
         assert step >= 2 and compacted >= (3 if estimator == "mcd" else 1)
 
@@ -661,6 +669,76 @@ class TestWorkspace:
             threaded = list(pool.map(lambda job: job(), jobs))
         for got, expected in zip(threaded, sequential):
             assert_same_fit(got, expected)
+
+
+class TestOnePartitionPerStep:
+    @pytest.mark.parametrize("estimator", ["lts", "mcd"])
+    def test_a_c_step_partitions_once(self, rng, monkeypatch, estimator):
+        # LTS partitions in its fit, which hands the threshold on to the next
+        # selection; MCD in its selection, from the fresh distances
+        calls, part = [], concentration.partitioned
+
+        def spy(where):
+            def counted(*args):
+                calls.append(where)
+                return part(*args)
+            return counted
+        if estimator == "lts":
+            data = random_regression(rng, 60, 3, outlier_fraction=0.2)
+            model = lts._search_model(data.design_matrix(), data.response_vector(), 45)
+        else:
+            model = mcd._search_model(random_points(rng, 60, 3, outliers=12), 45)
+        starts = concentration._draw(rng, 60, 3, 20)
+        mask = np.zeros((20, 60))
+        np.put_along_axis(mask, starts, 1.0, axis=1)
+        params, _, ok = model.fit(mask @ model.terms, 4)
+        params = concentration._take(params, ok)
+        monkeypatch.setattr(concentration, "partitioned", spy("concentration"))
+        monkeypatch.setattr(lts, "partitioned", spy("lts"))
+        work = [np.empty(0)] * 2
+        for _ in range(3):
+            params, _, ok = concentration._c_step(model, params, 45, work)
+            assert calls == ["lts" if estimator == "lts" else "concentration"]
+            params, calls[:] = concentration._take(params, ok), []
+
+    def test_the_carried_threshold_selects_as_a_fresh_partition(self, rng):
+        # an intercept-only fit of 4 rows is their exact mean, so integer y leaves
+        # integer squared residuals, with ties at the h-th value of most trials
+        x, y = np.ones((40, 1)), rng.integers(0, 6, size=40).astype(float)
+        model = lts._search_model(x, y, 30)
+        starts = concentration._draw(rng, 40, 3, 200)
+        starts = starts[y[starts].sum(axis=1) % 4 == 0]  # an integer mean
+        mask = np.zeros((len(starts), 40))
+        np.put_along_axis(mask, starts, 1.0, axis=1)
+        work = concentration._views(None, mask.shape)  # shared by fit and select, as in a C-step
+        params, _, ok = model.fit(mask @ model.terms, 4, work)
+        r2 = params[1].copy()
+        assert ok.all() and np.array_equal(r2, np.round(r2))
+        assert ((r2 <= params[2]).sum(axis=1) > 30).mean() > 0.5  # the tie fix-up runs
+        expected = concentration.lowest_mask(r2, 30)
+        assert_same_bits(model.select(params), expected)
+        assert_same_bits(model.select(params, work), expected)
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("n, k, block", [(50, 11, 248), (200, 5, 245), (500, 5, 98),
+                                             (20000, 5, 2)])
+    def test_blocks_fit_the_rows_and_terms_budgets(self, rng, n, k, block):
+        # k coefficients give k * k + k terms a row: 132 at k = 11, 30 at k = 5
+        model = lts._search_model(rng.standard_normal((n, k)), rng.standard_normal(n), n // 2)
+        c = model.terms.shape[1]
+        assert block == max(1, min(3 * 2**15 // (2 * n), 2**15 // c))
+        sizes, fit = [], model.fit
+
+        def spy(sums, *args):
+            sizes.append(len(sums))
+            return fit(sums, *args)
+        starts = concentration._draw(rng, n, k - 1, 2 * block + 1)
+        work = [np.empty(0)] * 2
+        concentration._phase(replace(model, fit=spy), starts, n // 2, 0, 1, work=work)
+        assert sizes == [block, block, 1]
+        # within the three (T, n) buffers of at most max(2^15, n) entries of before
+        assert len(work) == 2 and sum(map(len, work)) <= 3 * max(2**15, n)
 
 
 def search_fits(x, y):
@@ -739,10 +817,10 @@ class TestEachRowSetOnce:
                 phases = spy_on_phases(patched)
                 steps, step = [], concentration._c_step
 
-                def spy(*args):
-                    out = step(*args)
-                    steps.append((len(phases), {m.tobytes() for m in out[3]}, len(out[3])))
-                    return out
+                def spy(model, params, *args):
+                    masks = model.select(params)  # before the step overwrites the workspace
+                    steps.append((len(phases), {m.tobytes() for m in masks}, len(masks)))
+                    return step(model, params, *args)
                 patched.setattr(concentration, "_c_step", spy)
                 fit_lts(make_dataset(x, y)) if estimator == "lts" else fit_mcd(x)
             given = phases[-1][0][1]  # the rows refinement starts from
