@@ -120,47 +120,32 @@ def _draw(rng: np.random.Generator, n: int, dim: int, count: int) -> np.ndarray:
     return out
 
 
-def _table(m: int, k: int, tables: dict) -> tuple[int, np.ndarray]:
-    """(M, the k-subsets of range(M - m, M) in lexicographic order) from the table kept for k.
-
-    The subsets of range(b, M) end every lexicographic table of subsets of range(M). A missing
-    or short table is built a column at a time from the widest narrower one that reaches far
-    enough: the j-subsets of range(w) that start with a go on with those of range(a + 1, w).
-    """
-    j = max(i for i in range(k + 1) if tables.get(i, (-1,))[0] >= m - k + i)
-    for j in range(j + 1, k + 1):
-        w, (top, narrower) = m - k + j, tables[j - 1]
-        counts = np.array([math.comb(w - a - 1, j - 1) for a in range(w - j + 1)])
-        tail = np.arange(counts.sum()) + np.repeat(len(narrower) - np.cumsum(counts), counts)
-        first = np.repeat(np.arange(len(counts)), counts)[:, None]
-        tables[j] = w, np.hstack([first, narrower[tail] + (w - top)])
-    return tables[k][0], tables[k][1][-math.comb(m, k) :]
-
-
 def lexicographic_chunks(n: int, r: int, size: int):
     """(T, r) arrays of the r-subsets of range(n) in lexicographic order; T = size but in the last.
 
-    A node is a prefix, then n - m + the k-subsets of range(m) once at most size subsets
-    share the prefix (so m <= size): _table's k-subsets of range(M - m, M) shifted by n - M.
-    The tables live for one call, one per k.
+    In the combinatorial number system the subset c_0 < ... < c_{r-1} of rank t has
+    sum_i C(n-1-c_i, r-i) = C(n, r) - 1 - t, so each c_i is the first c whose C(n-1-c, r-i) fits
+    in what the members before it left: a searchsorted on the ascending column -C(n-1-c, r-i).
+    The complement has rank C(n, r) - 1 - t among the (n-r)-subsets, so only the smaller side,
+    k = min(r, n - r) members, is read off; a (T * n) mask gives the larger. C(n, r) < 2**63.
     """
-    tables = {0: (n, np.zeros((1, 0), dtype=np.intp))}
-    chunk, filled, nodes = np.empty((min(size, math.comb(n, r)), r), dtype=np.intp), 0, [((), n)]
-    while nodes:  # depth first, without recursion: a prefix can be thousands of rows long
-        prefix, m = nodes.pop()
-        k = r - len(prefix)
-        if math.comb(m, k) > size:  # those with n - m first, then those without
-            nodes += [(prefix, m - 1), (prefix + (n - m,), m - 1)]
-            continue
-        top, rows = _table(m, k, tables)
-        while len(rows):
-            block = chunk[filled : filled + len(rows)]
-            block[:, : len(prefix)] = prefix
-            np.add(rows[: len(block)], n - top, out=block[:, len(prefix) :])
-            rows, filled = rows[len(block) :], filled + len(block)
-            if filled == len(chunk) or not (nodes or len(rows)):
-                yield chunk[:filled]
-                chunk, filled = np.empty_like(chunk), 0
+    total, k = math.comb(n, r), min(r, n - r)
+    columns = [-np.array([math.comb(n - 1 - c, j) for c in range(n)]) for j in range(k, 0, -1)]
+    for first in range(0, total, size):
+        ranks = np.arange(first, min(first + size, total))
+        left = ranks - (total - 1) if k == r else -ranks  # minus what the members still sum to
+        chunk = np.empty((len(ranks), k), dtype=np.intp)
+        for i, column in enumerate(columns):
+            c = column.searchsorted(left)
+            left -= column[c]
+            chunk[:, i] = c
+        if k < r:
+            rows = np.arange(0, len(ranks) * n, n)[:, None]
+            mask = np.ones(len(ranks) * n, dtype=bool)
+            mask[chunk + rows] = False
+            chunk = np.flatnonzero(mask).reshape(len(ranks), r)
+            chunk -= rows
+        yield chunk
 
 
 def draw_starts(n: int, dim: int, config) -> np.ndarray:

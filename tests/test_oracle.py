@@ -198,10 +198,11 @@ def test_chunks_are_the_combinations_in_order(size):
             assert 1 <= len(chunks[-1]) <= size
 
 
-@pytest.mark.parametrize("n, h, size", [(3000, 1, 10**9), (3000, 1, 7), (300, 2, 10**9)])
+@pytest.mark.parametrize("n, h, size", [(3000, 1, 10**9), (3000, 1, 7), (300, 2, 10**9),
+                                        (3000, 2999, 7), (200, 198, 40), (40, 37, 1000)])
 def test_chunks_of_long_ranges(n, h, size):
-    # a chunk may hold the subsets of thousands of rows: the tables are built a
-    # column at a time, with no call depth that grows with the row count
+    # thousands of rows, on either side of h = n / 2: the smaller of h and n - h
+    # members are read off by rank, and the larger side is their complement
     chunks = list(concentration.lexicographic_chunks(n, h, size))
     expected = np.array(list(itertools.combinations(range(n), h)))
     np.testing.assert_array_equal(np.concatenate(chunks), expected)
