@@ -23,6 +23,14 @@ _MAX_ITERATIONS = 10_000
 _NEWTON_LAST_STEP = 1e-9  # in log(x); Newton's next error is about its square
 
 
+def finite(name: str, a) -> np.ndarray:
+    """a as a float array; ValueError naming it if it holds NaN or an infinity."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a float (T, K, K) stack of symmetric matrices via LAPACK.
 
@@ -106,7 +114,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     NotPositiveDefinite signals collinearity (near-zero pivot).
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b = finite("right-hand side", b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
@@ -114,8 +122,6 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(a))) or 1.0
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10 * scale):
         raise ValueError("matrix is not symmetric within 1e-10 relative")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
     return cho_apply(cholesky_spd(a), b)
 
 

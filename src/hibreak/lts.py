@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import Model, check_search_config, lowest_mask, lowest_rows, partitioned, run_search
-from .core_stats import cho_apply, gaussian_quantile, spd_factor
+from .core_stats import cho_apply, finite, gaussian_quantile, spd_factor
 from .errors import NotPositiveDefinite
 from .ols import Dataset
 
@@ -138,7 +138,7 @@ def lts_objective(data: Dataset, beta: np.ndarray, h: int) -> float:
     """Sum of the h smallest squared residuals of data under beta."""
     if not 1 <= h <= data.n:
         raise ValueError(f"h must lie in [1, {data.n}], got {h}")
-    r2 = _squared_residuals(data.design_matrix(), data.response_vector(), np.asarray(beta, float))
+    r2 = _squared_residuals(data.design_matrix(), data.response_vector(), finite("beta", beta))
     return float(_objective(r2, h))
 
 
@@ -156,12 +156,12 @@ def c_step(
     rows: the objective 0.0 becomes the refit's rounding residue (3.9e-31
     in one case). NotPositiveDefinite means the selected rows are collinear
     or their objective overflows, and the trial should be discarded;
-    ValueError means h lies outside [1, n].
+    ValueError means h lies outside [1, n] or beta is not finite.
     """
     if not 1 <= h <= data.n:
         raise ValueError(f"h must lie in [1, {data.n}], got {h}")
     x, y = data.design_matrix(), data.response_vector()
-    subset = lowest_rows(_squared_residuals(x, y, np.asarray(beta, float)), h)
+    subset = lowest_rows(_squared_residuals(x, y, finite("beta", beta)), h)
     kept, objective, fit = evaluate_subsets(x, y, subset[None], h)
     if not kept.size:
         raise NotPositiveDefinite("the selected rows are collinear or their objective overflows")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .concentration import Model, check_search_config, lowest_mask, lowest_rows, run_search
 from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
-from .core_stats import mean_and_cov, spd_factor, substitute
+from .core_stats import finite, mean_and_cov, spd_factor, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
@@ -138,14 +138,15 @@ def mcd_c_step(
     subset, and the covariance determinant; starting from the moments of
     any h-row subset the determinant never increases. NotPositiveDefinite
     means the input scatter or the selection is singular, and the trial
-    should be discarded; ValueError means h lies outside [p+1, n].
+    should be discarded; ValueError means h lies outside [p+1, n] or an
+    input is not finite.
     """
-    x = np.asarray(x, dtype=float)
+    x = finite("x", x)
     n, p = x.shape
     if not p + 1 <= h <= n:
         raise ValueError(f"h must lie in [{p + 1}, {n}], got {h}")
-    low = cholesky_spd(np.asarray(scatter, dtype=float))
-    subset = lowest_rows(_mahalanobis_sq(x, np.asarray(center, float), low), h)
+    low = cholesky_spd(finite("scatter", scatter))
+    subset = lowest_rows(_mahalanobis_sq(x, finite("center", center), low), h)
     kept, det, fit = evaluate_subsets(x, subset[None])
     if not kept.size:
         raise NotPositiveDefinite("the selected rows are singular")
@@ -153,7 +154,7 @@ def mcd_c_step(
 
 
 def _validate(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = finite("x", x)
     if x.ndim != 2:
         raise ValueError(f"expected an n x p matrix, got shape {x.shape}")
     n, p = x.shape
@@ -201,4 +202,4 @@ def fit_mcd(x: np.ndarray, config: McdConfig | None = None) -> McdEstimate:
 def robust_distances(x: np.ndarray, estimate: McdEstimate) -> np.ndarray:
     """Mahalanobis distances of each row under the corrected estimate."""
     low = cholesky_spd(estimate.scatter)
-    return np.sqrt(_mahalanobis_sq(np.asarray(x, dtype=float), estimate.center, low))
+    return np.sqrt(_mahalanobis_sq(finite("x", x), estimate.center, low))

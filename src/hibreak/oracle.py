@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import concentration, lts, mcd
+from . import concentration, core_stats, lts, mcd
 from .errors import AllStartsDegenerate, TooLarge
 from .ols import Dataset
 
@@ -98,7 +98,7 @@ def exact_mcd(x: np.ndarray, h: int) -> OracleResult:
     degenerate and skipped, so an exact-fit configuration falls through to
     the best non-degenerate subset.
     """
-    x = np.asarray(x, dtype=float)
+    x = core_stats.finite("x", x)
     n, p = x.shape
     if h < p + 1:
         raise ValueError(f"h={h} is below p+1={p + 1}")

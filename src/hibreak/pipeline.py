@@ -141,12 +141,14 @@ _ROW_PARSER_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
 
 
 def _read_plain(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
-    """_parse_rows's result for a plain, valid file, from one np.loadtxt pass; else None.
+    """_parse_rows's result for a plain file of valid cells, from one np.loadtxt pass; else None.
 
     loadtxt converts each cell with PyOS_string_to_double, as float() does, so
     the values get the same bits. A file outside that lane (a character
     above, an empty header, a line over csv's field limit, a cell count,
-    label, cell or value the row parser would reject) gives None.
+    cell or value the row parser would reject) gives None. Repeated labels
+    are read: Dataset rejects the first, as the row parser would, and it
+    checks labels before anything that a valid cell could fail.
     """
     lines = text.split("\n")
     header = lines[0].split(",")
@@ -156,7 +158,7 @@ def _read_plain(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
     body = [line.partition(",") for line in lines[1:] if line]
     labels = [label.strip() for label, _, _ in body]
     cells = [rest for _, _, rest in body]
-    if not all(cells) or len(set(labels)) < len(labels):  # loadtxt skips an empty line
+    if not all(cells):  # loadtxt skips an empty line
         return None
     width = len(header) - 1
     try:
@@ -381,8 +383,14 @@ def _coefficient_cells(row: dict) -> list[str]:
     return cells
 
 
+def _table(head: str, rows) -> list[str]:
+    """A markdown table: the head line, its |---| separator, then one line per row of cells."""
+    rule = "|---" * (head.count("|") - 1) + "|"
+    return [head, rule, *(f"| {cells} |" for cells in map(" | ".join, rows))]
+
+
 def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
-    echo = report.config_echo
+    echo, summary = report.config_echo, report.comparison
     model = echo["model"]
     terms = (["const"] if model["has_intercept"] else []) + list(model["predictors"])
     out = [
@@ -392,51 +400,31 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
         "",
         "## Coefficient comparison",
         "",
-        "| Var. | OLS Coeff. | S.E. | t-value | P-value "
-        "| ROBUST Coeff. | S.E. | t-value | P-value |",
-        "|---|---|---|---|---|---|---|---|---|",
     ]
-    out += ["| " + " | ".join(_coefficient_cells(row)) + " |" for row in report.comparison["rows"]]
-    out += ["", "| | OLS | ROBUST |", "|---|---|---|"]
-    for key, title in _SUMMARY:
-        out.append(
-            f"| {title} | {_sig(report.comparison['ols'][key])} "
-            f"| {_sig(report.comparison['robust'][key])} |"
-        )
-    out += [
-        "",
-        "## Diagnostics",
-        "",
-        "| Row | Std. residual | Robust distance | Class | Drop |",
-        "|---|---|---|---|---|",
-    ]
+    out += _table("| Var. | OLS Coeff. | S.E. | t-value | P-value "
+                  "| ROBUST Coeff. | S.E. | t-value | P-value |",
+                  map(_coefficient_cells, summary["rows"]))
+    out += ["", *_table("| | OLS | ROBUST |", (
+        [title, _sig(summary["ols"][key]), _sig(summary["robust"][key])] for key, title in _SUMMARY))]
+    out += ["", "## Diagnostics", ""]
     c = record_columns(report.diagnostics)
-    out += [
-        f"| {label} | {_sig(sr, signed=True)} | {_sig(rd)} | {cls} | {'yes' if drop else 'no'} |"
-        for label, sr, rd, cls, drop in zip(c["label"], c["sr"], c["rd"], c["class"], c["drop"])
-    ]
+    out += _table("| Row | Std. residual | Robust distance | Class | Drop |", (
+        [str(label), _sig(sr, signed=True), _sig(rd), cls, "yes" if drop else "no"]
+        for label, sr, rd, cls, drop in zip(c["label"], c["sr"], c["rd"], c["class"], c["drop"])))
     out += ["", "## Dropped observations", ""]
-    if report.dropped:
-        out += ["| Row | Reason |", "|---|---|"]
-        out += [f"| {row.label} | {row.reason} |" for row in report.dropped]
-    else:
-        out.append("none")
+    out += (_table("| Row | Reason |", ([str(row.label), row.reason] for row in report.dropped))
+            if report.dropped else ["none"])
     out += ["", "## Configuration", ""]
-    for name, size in (("lts", "alpha"), ("mcd", "h_fraction")):
-        e = echo[name]
-        out.append(
-            f"- {name}: {size}={e[size]}, h={e['h']}, "
-            f"n_starts={e['n_starts']}, n_best_kept={e['n_best_kept']}, "
-            f"seed={e['seed']}, max_csteps={e['max_csteps']}, "
-            f"consistency_factor={_sig(e['consistency_factor'])}"
+    # Each section's keys as echoed, then the factor or cutoff it derived, rounded by _sig.
+    out += [
+        f"- {name}: " + ", ".join([*(f"{key}={echo[name][key]}" for key in keys.split()),
+                                  f"{derived}={_sig(echo[name][derived])}"])
+        for name, keys, derived in (
+            ("lts", "alpha h n_starts n_best_kept seed max_csteps", "consistency_factor"),
+            ("mcd", "h_fraction h n_starts n_best_kept seed max_csteps", "consistency_factor"),
+            ("thresholds", "residual_cutoff severe_residual_cutoff distance_quantile", "distance_cutoff"),
         )
-    thr = echo["thresholds"]
-    out.append(
-        f"- thresholds: residual_cutoff={thr['residual_cutoff']}, "
-        f"severe_residual_cutoff={thr['severe_residual_cutoff']}, "
-        f"distance_quantile={thr['distance_quantile']}, "
-        f"distance_cutoff={_sig(thr['distance_cutoff'])}"
-    )
+    ]
     if oracle is not None:
         out += ["", "## Oracle check", ""]
         out += [
@@ -449,22 +437,16 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
 
 
 def _render_tsv(report: AnalysisReport, oracle: dict | None) -> str:
+    summary = report.comparison
+    pairs = [(key, _sig(summary["ols"][key]), _sig(summary["robust"][key])) for key, _ in _SUMMARY]
+    pairs += [(f"oracle_{name}", repr(block["heuristic_objective"]), repr(block["exact_objective"]))
+              for name, block in sorted((oracle or {}).items())]
     rows = [
         ["var", "ols_coeff", "ols_se", "ols_t", "ols_p",
-         "robust_coeff", "robust_se", "robust_t", "robust_p"]
+         "robust_coeff", "robust_se", "robust_t", "robust_p"],
+        *map(_coefficient_cells, summary["rows"]),
+        *([name, a, "-", "-", "-", b, "-", "-", "-"] for name, a, b in pairs),
     ]
-    rows += [_coefficient_cells(row) for row in report.comparison["rows"]]
-    for key, _ in _SUMMARY:
-        rows.append(
-            [key, _sig(report.comparison["ols"][key]), "-", "-", "-",
-             _sig(report.comparison["robust"][key]), "-", "-", "-"]
-        )
-    if oracle is not None:
-        for name, block in sorted(oracle.items()):
-            rows.append(
-                [f"oracle_{name}", repr(block["heuristic_objective"]), "-", "-", "-",
-                 repr(block["exact_objective"]), "-", "-", "-"]
-            )
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 

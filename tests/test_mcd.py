@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from hibreak import McdConfig, exact_mcd, fit_mcd, mcd_c_step, robust_distances
+from hibreak import (
+    McdConfig,
+    c_step,
+    exact_mcd,
+    fit_mcd,
+    lts_objective,
+    mcd_c_step,
+    robust_distances,
+)
 from hibreak.core_stats import mean_and_cov
 from hibreak.errors import AllStartsDegenerate, ConstantColumn, NotPositiveDefinite
 from hibreak.mcd import evaluate_subsets, scatter_consistency_factor, subset_size
 
-from conftest import random_points
+from conftest import make_dataset, random_points
 
 
 def cluster_with_far_points(rng, n_cluster=10, n_far=2, spread=0.1, dist=100.0):
@@ -205,3 +213,30 @@ class TestConsistencyFactor:
     def test_subset_size(self):
         assert subset_size(100, 0.75) == 75
         assert subset_size(11, 0.75) == 8
+
+
+def _with(a, value):
+    """A float copy of a with its last entry set to value."""
+    a = np.array(a, dtype=float)
+    a.flat[-1] = value
+    return a
+
+
+X12 = random_points(np.random.default_rng(0), 12, 2)
+DATA12 = make_dataset(X12[:, 0], X12[:, 1])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fit_mcd(_with(X12, np.nan)), "x"),
+    (lambda: mcd_c_step(_with(X12, np.nan), np.zeros(2), np.eye(2), 9), "x"),
+    (lambda: mcd_c_step(X12, _with(np.zeros(2), np.nan), np.eye(2), 9), "center"),
+    (lambda: mcd_c_step(X12, np.zeros(2), _with(np.eye(2), np.inf), 9), "scatter"),
+    (lambda: exact_mcd(_with(X12, np.nan), 9), "x"),
+    (lambda: robust_distances(_with(X12, -np.inf), fit_mcd(X12, McdConfig(n_starts=20))), "x"),
+    (lambda: c_step(DATA12, _with(np.zeros(2), np.inf), 9), "beta"),
+    (lambda: lts_objective(DATA12, _with(np.zeros(2), np.nan), 9), "beta"),
+], ids=["fit_mcd", "mcd_c_step_x", "mcd_c_step_center", "mcd_c_step_scatter", "exact_mcd",
+        "robust_distances", "c_step_beta", "lts_objective_beta"])
+def test_raw_array_input_must_be_finite(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call()

@@ -24,7 +24,15 @@ from hibreak import errors
 from hibreak.cli import build_parser, main
 from hibreak.errors import DuplicateLabel, InputError, MissingColumn, NumericalError, ParseError
 from hibreak.ols import RegressionFit, t_and_p
-from hibreak.pipeline import AnalysisConfig, ModelSpec, report_to_dict
+from hibreak.diagnostics import DiagnosticRecord
+from hibreak.pipeline import (
+    AnalysisConfig,
+    AnalysisReport,
+    DroppedRow,
+    ModelSpec,
+    _comparison,
+    report_to_dict,
+)
 
 from conftest import make_dataset
 
@@ -276,6 +284,41 @@ def test_negative_seed_and_nan_cutoff_rejected(make):
         make()
 
 
+def fabricated_report(diagnostics=(), dropped=()):
+    """A report on one predictor whose fit is written by hand; also its t-values."""
+    t, p = t_and_p(np.array([4.78]), np.array([1.37]), 25)
+    fit = RegressionFit(
+        coefficient_names=("Growth",),
+        coefficients=np.array([4.78]),
+        standard_errors=np.array([1.37]),
+        t_values=t,
+        p_values=p,
+        residuals=np.zeros(28),
+        sigma=1.0,
+        r_squared=0.56,
+        f_value=10.5,
+        n_used=28,
+        predictors=("Growth",),
+        has_intercept=False,
+        df_resid=25,
+    )
+    report = AnalysisReport(
+        ols_fit=fit, diagnostics=list(diagnostics), dropped=list(dropped), robust_fit=fit,
+        config_echo={
+            "model": {"response": "R", "predictors": ["Growth"], "has_intercept": False},
+            "lts": {"alpha": 0.25, "h": 21, "n_starts": 500, "n_best_kept": 10,
+                    "seed": 0, "max_csteps": 100, "consistency_factor": 1.6523456},
+            "mcd": {"h_fraction": 0.75, "h": 21, "n_starts": 500, "n_best_kept": 10,
+                    "seed": 0, "max_csteps": 100, "consistency_factor": 1.86},
+            "thresholds": {"residual_cutoff": 2.5, "distance_quantile": 0.975,
+                           "severe_residual_cutoff": 4.0, "distance_cutoff": 2.71620006},
+            "output_format": "markdown",
+        },
+        comparison=_comparison(fit, fit),
+    )
+    return report, t
+
+
 class TestRenderReport:
     def test_markdown_mentions_dropped_rows(self):
         report = run_analysis(bad_leverage_instance(), AnalysisConfig(model=MODEL_XY))
@@ -290,43 +333,78 @@ class TestRenderReport:
         assert "none" in text.split("## Dropped observations")[1]
 
     def test_fabricated_t_value_renders(self):
-        t, p = t_and_p(np.array([4.78]), np.array([1.37]), 25)
-        fit = RegressionFit(
-            coefficient_names=("Growth",),
-            coefficients=np.array([4.78]),
-            standard_errors=np.array([1.37]),
-            t_values=t,
-            p_values=p,
-            residuals=np.zeros(28),
-            sigma=1.0,
-            r_squared=0.56,
-            f_value=10.5,
-            n_used=28,
-            predictors=("Growth",),
-            has_intercept=False,
-            df_resid=25,
-        )
-        from hibreak.pipeline import AnalysisReport, _comparison
-
-        report = AnalysisReport(
-            ols_fit=fit, diagnostics=[], dropped=[], robust_fit=fit,
-            config_echo={
-                "model": {"response": "R", "predictors": ["Growth"], "has_intercept": False},
-                "lts": {"alpha": 0.25, "h": 21, "n_starts": 500, "n_best_kept": 10,
-                        "seed": 0, "max_csteps": 100, "consistency_factor": 1.65},
-                "mcd": {"h_fraction": 0.75, "h": 21, "n_starts": 500, "n_best_kept": 10,
-                        "seed": 0, "max_csteps": 100, "consistency_factor": 1.86},
-                "thresholds": {"residual_cutoff": 2.5, "distance_quantile": 0.975,
-                               "severe_residual_cutoff": 4.0, "distance_cutoff": 2.716},
-                "output_format": "markdown",
-            },
-            comparison=_comparison(fit, fit),
-        )
+        report, t = fabricated_report()
         text = render_report(report, "markdown")
         assert "+3.489" in text  # rounds to the printed 3.49
         assert round(float(t[0]), 2) == 3.49
         tsv = render_report(report, "tsv")
         assert "+3.489" in tsv
+
+    def test_fabricated_report_renders_golden_text(self):
+        records = [
+            DiagnosticRecord("a", 0.5, 1.25, 2.5, 2.716, Classification.REGULAR, False),
+            DiagnosticRecord("b", -4.5, 3.0, 2.5, 2.716, Classification.BAD_LEVERAGE, True),
+        ]
+        dropped = [DroppedRow("b", "BadLeverage: abs(standardized residual)=4.5, robust distance=3")]
+        report, _ = fabricated_report(records, dropped)
+        oracle = {"mcd": {"heuristic_objective": 0.5, "exact_objective": 0.5, "match": True},
+                  "lts": {"heuristic_objective": 1.5, "exact_objective": 1.25, "match": False}}
+        assert render_report(report, "markdown", oracle) == (
+            "# Robust regression report\n"
+            "\n"
+            "Model: R ~ Growth (n = 28)\n"
+            "\n"
+            "## Coefficient comparison\n"
+            "\n"
+            "| Var. | OLS Coeff. | S.E. | t-value | P-value "
+            "| ROBUST Coeff. | S.E. | t-value | P-value |\n"
+            "|---|---|---|---|---|---|---|---|---|\n"
+            "| Growth | +4.78 | 1.37 | +3.489 | 0.001815 | +4.78 | 1.37 | +3.489 | 0.001815 |\n"
+            "\n"
+            "| | OLS | ROBUST |\n"
+            "|---|---|---|\n"
+            "| R^2 | 0.56 | 0.56 |\n"
+            "| F-value | 10.5 | 10.5 |\n"
+            "| sigma | 1 | 1 |\n"
+            "| n used | 28 | 28 |\n"
+            "\n"
+            "## Diagnostics\n"
+            "\n"
+            "| Row | Std. residual | Robust distance | Class | Drop |\n"
+            "|---|---|---|---|---|\n"
+            "| a | +0.5 | 1.25 | Regular | no |\n"
+            "| b | -4.5 | 3 | BadLeverage | yes |\n"
+            "\n"
+            "## Dropped observations\n"
+            "\n"
+            "| Row | Reason |\n"
+            "|---|---|\n"
+            "| b | BadLeverage: abs(standardized residual)=4.5, robust distance=3 |\n"
+            "\n"
+            "## Configuration\n"
+            "\n"
+            "- lts: alpha=0.25, h=21, n_starts=500, n_best_kept=10, seed=0, max_csteps=100, "
+            "consistency_factor=1.652\n"
+            "- mcd: h_fraction=0.75, h=21, n_starts=500, n_best_kept=10, seed=0, max_csteps=100, "
+            "consistency_factor=1.86\n"
+            "- thresholds: residual_cutoff=2.5, severe_residual_cutoff=4.0, "
+            "distance_quantile=0.975, distance_cutoff=2.716\n"
+            "\n"
+            "## Oracle check\n"
+            "\n"
+            "- lts: heuristic=1.5, exact=1.25, match=False\n"
+            "- mcd: heuristic=0.5, exact=0.5, match=True\n"
+        )
+        assert render_report(report, "tsv", oracle) == (
+            "var\tols_coeff\tols_se\tols_t\tols_p\trobust_coeff\trobust_se\trobust_t\trobust_p\n"
+            "Growth\t+4.78\t1.37\t+3.489\t0.001815\t+4.78\t1.37\t+3.489\t0.001815\n"
+            "r_squared\t0.56\t-\t-\t-\t0.56\t-\t-\t-\n"
+            "f_value\t10.5\t-\t-\t-\t10.5\t-\t-\t-\n"
+            "sigma\t1\t-\t-\t-\t1\t-\t-\t-\n"
+            "n_used\t28\t-\t-\t-\t28\t-\t-\t-\n"
+            "oracle_lts\t1.5\t-\t-\t-\t1.25\t-\t-\t-\n"
+            "oracle_mcd\t0.5\t-\t-\t-\t0.5\t-\t-\t-\n"
+        )
 
     def test_json_round_trip_renders_identically(self):
         report = run_analysis(mixed_outlier_instance(), AnalysisConfig(model=MODEL_XY))
