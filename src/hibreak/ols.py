@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,14 +116,8 @@ class Dataset:
     def subset(self, rows: np.ndarray) -> "Dataset":
         """Dataset restricted to the given row indices (order preserved)."""
         rows = np.asarray(rows, dtype=int)
-        return Dataset(
-            row_labels=tuple(self.row_labels[i] for i in rows),
-            column_names=self.column_names,
-            response=self.response,
-            predictors=self.predictors,
-            values=self.values[rows],
-            has_intercept=self.has_intercept,
-        )
+        return replace(self, row_labels=tuple(self.row_labels[i] for i in rows),
+                       values=self.values[rows])
 
 
 @dataclass(eq=False)

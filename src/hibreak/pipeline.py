@@ -39,6 +39,8 @@ REPORT_FORMATS = ("json", "markdown", "tsv")
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """The model designation; its fields are the Dataset's designation fields."""
+
     response: str
     predictors: tuple[str, ...]
     has_intercept: bool = True
@@ -191,41 +193,20 @@ def load_csv(path: str, model: ModelSpec) -> Dataset:
             except UnicodeDecodeError as err:
                 raise ParseError(row, "", f"line {row + 1} is not UTF-8: {err}") from None
     header, labels, values = _read_plain(text) or _parse_rows(text)
-    return Dataset(
-        row_labels=tuple(labels),
-        column_names=tuple(name.strip() for name in header[1:]),
-        response=model.response,
-        predictors=model.predictors,
-        values=values,
-        has_intercept=model.has_intercept,
-    )
+    return Dataset(row_labels=tuple(labels), column_names=tuple(name.strip() for name in header[1:]),
+                   values=values, **asdict(model))
 
 
 def _config_echo(
     data: Dataset, config: AnalysisConfig, lts_fit: LtsFit, mcd_est: McdEstimate
 ) -> dict:
-    return {
-        "model": {
-            "response": config.model.response,
-            "predictors": list(config.model.predictors),
-            "has_intercept": config.model.has_intercept,
-        },
-        "lts": {
-            **asdict(config.lts),
-            "h": lts_fit.h,
-            "consistency_factor": consistency_factor(lts_fit.h, data.n),
-        },
-        "mcd": {
-            **asdict(config.mcd),
-            "h": mcd_est.h,
-            "consistency_factor": mcd_est.consistency_factor,
-        },
-        "thresholds": {
-            **asdict(config.thresholds),
-            "distance_cutoff": distance_cutoff(config.thresholds, len(data.predictors)),
-        },
-        "output_format": config.output_format,
-    }
+    """asdict(config), each section followed by the values the analysis derived from it."""
+    echo = asdict(config)
+    echo["model"]["predictors"] = list(config.model.predictors)
+    echo["lts"] |= {"h": lts_fit.h, "consistency_factor": consistency_factor(lts_fit.h, data.n)}
+    echo["mcd"] |= {"h": mcd_est.h, "consistency_factor": mcd_est.consistency_factor}
+    echo["thresholds"]["distance_cutoff"] = distance_cutoff(config.thresholds, len(data.predictors))
+    return echo
 
 
 # The fit statistics of the report's summary rows, with their markdown titles.
@@ -257,9 +238,8 @@ def run_analysis(data: Dataset, config: AnalysisConfig) -> AnalysisReport:
     refit. Deterministic for fixed seeds. Stage failures re-raise as
     PipelineStageError naming the stage.
     """
-    model = config.model
-    if (data.response, data.predictors, data.has_intercept) != (
-            model.response, model.predictors, model.has_intercept):
+    designation = asdict(config.model)
+    if {key: getattr(data, key) for key in designation} != designation:
         raise ValueError("config model does not match the dataset's designations")
 
     def stage(name, fn, *args, **kwargs):
@@ -346,8 +326,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         }
         for rec in report.diagnostics
     ]
-    dropped = [{"label": row.label, "reason": row.reason} for row in report.dropped]
-    return _report_dict(report, rows, dropped)
+    return _report_dict(report, rows, [asdict(row) for row in report.dropped])
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -361,7 +340,7 @@ def report_from_json(text: str) -> AnalysisReport:
                              | {"classification": Classification(row["class"])})
             for row in d["diagnostics"]
         ],
-        dropped=[DroppedRow(label=row["label"], reason=row["reason"]) for row in d["dropped"]],
+        dropped=[DroppedRow(**row) for row in d["dropped"]],
         config_echo=d["config"],
         comparison=d["comparison"],
     )
@@ -383,20 +362,23 @@ def _coefficient_cells(row: dict) -> list[str]:
     return cells
 
 
+# Escapes for a table row's name (its first cell, maybe user text); a line break reads as a space.
+_CELL_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": " ", "\n": " "})
+
+
 def _table(head: str, rows) -> list[str]:
     """A markdown table: the head line, its |---| separator, then one line per row of cells."""
     rule = "|---" * (head.count("|") - 1) + "|"
-    return [head, rule, *(f"| {cells} |" for cells in map(" | ".join, rows))]
+    return [head, rule, *(f"| {row[0].translate(_CELL_ESCAPES)} | {' | '.join(row[1:])} |"
+                          for row in rows)]
 
 
 def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
-    echo, summary = report.config_echo, report.comparison
-    model = echo["model"]
-    terms = (["const"] if model["has_intercept"] else []) + list(model["predictors"])
+    echo, summary, fit = report.config_echo, report.comparison, report.ols_fit
     out = [
         "# Robust regression report",
         "",
-        f"Model: {model['response']} ~ {' + '.join(terms)} (n = {report.ols_fit.n_used})",
+        f"Model: {echo['model']['response']} ~ {' + '.join(fit.coefficient_names)} (n = {fit.n_used})",
         "",
         "## Coefficient comparison",
         "",

@@ -1,10 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ class TestRunAnalysis:
         assert echo["model"] == {
             "response": "y", "predictors": ["x1"], "has_intercept": True,
         }
+        # every field of each config section, then the values derived from it
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(echo) == names(AnalysisConfig)
+        assert set(echo["model"]) == names(ModelSpec)
+        assert set(echo["lts"]) == names(LtsConfig) | {"h", "consistency_factor"}
+        assert set(echo["mcd"]) == names(McdConfig) | {"h", "consistency_factor"}
+        assert set(echo["thresholds"]) == names(DiagnosticThresholds) | {"distance_cutoff"}
 
     def test_model_mismatch_rejected(self):
         data = clean_instance()
@@ -404,6 +414,40 @@ class TestRenderReport:
             "n_used\t28\t-\t-\t-\t28\t-\t-\t-\n"
             "oracle_lts\t1.5\t-\t-\t-\t1.25\t-\t-\t-\n"
             "oracle_mcd\t0.5\t-\t-\t-\t0.5\t-\t-\t-\n"
+        )
+
+    def test_markdown_escapes_label_and_name_cells(self, tmp_path):
+        # labels with a pipe, a backslash before a pipe and a quoted line break; a name with a pipe
+        labels = ['"a|b"', "c\\|d", '"e\nf"', *(f"r{i}" for i in range(3, 20))]
+        lines = ["row,y,x|1", *(f"{label},{1 + 2 * i + (i * 7 % 5 - 2) / 10 + 30 * (i < 3)},{i}"
+                                 for i, label in enumerate(labels))]
+        model = ModelSpec("y", ("x|1",))
+        data = load_csv(write_csv(tmp_path / "labels.csv", "\n".join(lines) + "\n"), model)
+        report = run_analysis(data, AnalysisConfig(model=model))
+        text = render_report(report, "markdown")
+
+        def pipes(line):  # the unescaped ones: drop each backslash pair first
+            return re.sub(r"\\.", "", line).count("|")
+
+        tables = [block.split("\n") for block in text.split("\n\n") if block.startswith("|")]
+        assert len(tables) == 4
+        for table in tables:
+            assert {pipes(line) for line in table} == {pipes(table[0])}
+        assert "\n| a\\|b | " in text and "\n| c\\\\\\|d | " in text and "\n| e f | " in text
+        assert "\n| x\\|1 | " in text
+        raw = ["a|b", "c\\|d", "e\nf"]
+        d = json.loads(render_report(report, "json"))
+        assert [row["label"] for row in d["diagnostics"][:3]] == raw
+        assert [row["label"] for row in d["dropped"]] == raw
+        assert d["ols"]["coefficient_names"] == ["const", "x|1"]
+        assert render_report(report, "tsv") == (  # the TSV writes names unescaped
+            "var\tols_coeff\tols_se\tols_t\tols_p\trobust_coeff\trobust_se\trobust_t\trobust_p\n"
+            "const\t+16.4\t3.828\t+4.285\t0.000446\t+0.9569\t0.08622\t+11.1\t1.247e-08\n"
+            "x|1\t+0.8526\t0.3444\t+2.476\t0.02347\t+2.004\t0.00716\t+279.9\t2.643e-29\n"
+            "r_squared\t0.254\t-\t-\t-\t0.9998\t-\t-\t-\n"
+            "f_value\t6.128\t-\t-\t-\t7.834e+04\t-\t-\t-\n"
+            "sigma\t8.882\t-\t-\t-\t0.1446\t-\t-\t-\n"
+            "n_used\t20\t-\t-\t-\t17\t-\t-\t-\n"
         )
 
     def test_json_round_trip_renders_identically(self):
