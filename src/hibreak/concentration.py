@@ -204,14 +204,19 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
         trial = np.arange(first, min(first + block, len(starts)))
         out = _views(work, (len(trial), n))
         out[1][...] = 0.0
-        np.put_along_axis(out[1], starts[trial], 1.0, axis=1)
+        out[1].reshape(-1)[starts[trial] + np.arange(0, len(trial) * n, n)[:, None]] = 1.0
         params, new, ok = model.fit(out[1] @ model.terms, starts.shape[1], out)
         old = new if objective is None else objective[trial]
         for step in range(steps + 1):
             if step:
-                old, trial, params = new[live], trial[live], params if live.all() else _take(params, live)
+                if not live.all():
+                    new, trial, params = new[live], trial[live], _take(params, live)
+                old = new
                 params, new, ok = _c_step(model, params, h, work)
                 n_csteps += int(ok.sum())
+            if objective is None and step < steps and ok.any():  # screening stops no trial here
+                live = ok
+                continue
             converged = old - new <= CONVERGENCE_RTOL * old
             done = ok & ((converged & (objective is not None)) | (step == steps))
             stopped = np.flatnonzero(done)

@@ -47,7 +47,8 @@ def spd_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         low = _umath_linalg.cholesky_lo(a, signature="d->d", out=np.empty(a.shape, order="F"))
     # NaN, where LAPACK failed, fails the comparison
     ok = (low.diagonal(0, -2, -1).T ** 2 > PIVOT_RTOL * a.diagonal(0, -2, -1).T.copy()).all(0)
-    low[~ok] = np.eye(a.shape[-1])
+    if not ok.all():
+        low[~ok] = np.eye(a.shape[-1])
     return low, ok
 
 
@@ -64,36 +65,44 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     return low[0]
 
 
-def substitute(low: np.ndarray, b: np.ndarray, back: bool = False) -> np.ndarray:
+def substitute(low: np.ndarray, b: np.ndarray | None, back: bool = False) -> np.ndarray:
     """Solve low @ z = b for a lower-triangular factor or a (T, K, K) stack of them.
 
     With back, also solve low.T @ x = z, so that (low @ low.T) x = b. b is
-    a vector or a matrix per factor. Column by column, each unknown is the
-    remaining right-hand side times the pivot's reciprocal, as BLAS trsm
-    kernels do. All steps are elementwise, so a factor in a stack gets the
-    bits it gets alone.
+    a vector or a matrix per factor, or None for the identity, whose
+    forward pass skips the upper triangle: row j of inv(low) is zero right
+    of column j. Column by column, each unknown is the remaining right-hand
+    side times the pivot's reciprocal, as BLAS trsm kernels do. All steps
+    are elementwise, so a factor in a stack gets the bits it gets alone.
     """
     low = np.asarray(low, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = low.shape[-1]
-    vector = b.ndim == low.ndim - 1
-    # Rows go first, so that each step takes plain views: x is (K, ..., M)
-    # and factor[i, j] is low[..., i, j] with a trailing axis for M.
-    n = low.ndim
+    n, k, identity = low.ndim, low.shape[-1], b is None
     stack = tuple(range(n - 2))
-    x = np.array((b[..., None] if vector else b).transpose(n - 2, *stack, n - 1), order="C")
-    factor = low.transpose(n - 2, n - 1, *stack)[..., None]
-    reciprocal = 1.0 / low.diagonal(0, -2, -1).transpose(n - 2, *stack)[..., None]
+    # x is (K, M, *stack), no M for a stack of vectors: each step runs along the stack, innermost in low
+    if identity:
+        x = np.zeros((k, k, *low.shape[:-2]))
+        x.reshape(k * k, -1)[:: k + 1] = 1.0  # the diagonal
+    else:
+        b = np.asarray(b, dtype=float)
+        x = np.array(b.reshape(k, -1) if n == 2 else b.transpose(n - 2, *range(n - 1, b.ndim), *stack),
+                     order="C")
+    factor = low.transpose(n - 2, n - 1, *stack)
+    reciprocal = 1.0 / low.diagonal(0, -2, -1).transpose(n - 2, *stack)
+    if x.ndim == n:
+        factor, reciprocal = factor[:, :, None], reciprocal[:, None]
     for j in range(k):
         row, rest = x[j], x[j + 1 :]
+        if identity:  # row j of inv(low) is zero right of column j
+            row, rest = row[: j + 1], rest[:, : j + 1]
         row *= reciprocal[j]
         rest -= factor[j + 1 :, j] * row
     for j in reversed(range(k)) if back else ():
         row, rest = x[j], x[:j]
         row *= reciprocal[j]
         rest -= factor[j, :j] * row  # column j of low.T is row j of low
-    x = np.ascontiguousarray(x.transpose(*range(1, n - 1), 0, n - 1))
-    return x[..., 0] if vector else x
+    lead = x.ndim - len(stack)  # K, and M unless b is a stack of vectors
+    return np.ascontiguousarray(x.transpose(*range(lead, x.ndim), *range(lead))).reshape(
+        low.shape if identity else b.shape)
 
 
 def cho_apply(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,10 +134,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_apply(cholesky_spd(a), b)
 
 
+def spd_inverse(low: np.ndarray) -> np.ndarray:
+    """inv(L @ L.T) from a lower Cholesky factor L (or a stack): cho_apply on the identity, bit for bit."""
+    return substitute(low, None, back=True)
+
+
 def spd_inverse_diag(low: np.ndarray) -> np.ndarray:
     """Diagonal of inv(L @ L.T) given the lower Cholesky factor L."""
-    inv_l = substitute(low, np.eye(low.shape[0]))
-    return np.sum(inv_l * inv_l, axis=0)
+    return np.square(substitute(low, None)).sum(axis=0)  # the column sums of squares of inv(L)
 
 
 def _gamma_series(a: float, z: float) -> float:

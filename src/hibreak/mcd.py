@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import Model, check_search_config, lowest_mask, lowest_rows, run_search
-from .core_stats import chi2_cdf, chi2_quantile, cho_apply, cholesky_spd, factor_determinant
-from .core_stats import finite, mean_and_cov, spd_factor, substitute
+from .core_stats import chi2_cdf, chi2_quantile, cholesky_spd, factor_determinant, finite
+from .core_stats import mean_and_cov, spd_factor, spd_inverse, substitute
 from .errors import ConstantColumn, NotPositiveDefinite, TooFewRows
 
 
@@ -109,7 +109,7 @@ def _search_model(x: np.ndarray, h: int) -> Model:
         second = sums[:, p:].reshape(-1, p, p) / count
         cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
         low, ok = spd_factor(cov)
-        precision = cho_apply(low, np.broadcast_to(np.eye(p), low.shape))
+        precision = spd_inverse(low)
         det = factor_determinant(low)
         # Pivots near underflow overflow the precision, and a spread near the float range
         # the determinant: such a trial is degenerate.

@@ -362,7 +362,7 @@ def _coefficient_cells(row: dict) -> list[str]:
     return cells
 
 
-# Escapes for a table row's name (its first cell, maybe user text); a line break reads as a space.
+# Escapes for user text: table rows' names (first cells), the Model line; a line break reads as a space.
 _CELL_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": " ", "\n": " "})
 
 
@@ -378,7 +378,8 @@ def _render_markdown(report: AnalysisReport, oracle: dict | None) -> str:
     out = [
         "# Robust regression report",
         "",
-        f"Model: {echo['model']['response']} ~ {' + '.join(fit.coefficient_names)} (n = {fit.n_used})",
+        f"Model: {echo['model']['response']} ~ {' + '.join(fit.coefficient_names)}".translate(_CELL_ESCAPES)
+        + f" (n = {fit.n_used})",
         "",
         "## Coefficient comparison",
         "",

@@ -530,6 +530,28 @@ class TestPhaseLoop:
         assert rows.shape == (3, 150) and len(set(trial)) == 3
         assert_each_row_set_once(got, every)
 
+    def test_screening_drops_trials_that_turn_degenerate_at_the_first_step(self, monkeypatch):
+        # an MCD selection without a one of the dummy (rows 1, 6, 8, 17) is singular: of the
+        # 12 starts, 5 fit, one of those turns degenerate at the first C-step, 4 take both
+        x, _ = dummy_design(24, 4, seed=28)
+        starts = concentration._draw(np.random.default_rng(28), 24, 2, 12)
+        seen = spy_on_steps(monkeypatch)
+        trial, rows, objective, converged, n_csteps = concentration._phase(
+            mcd._search_model(x, 18), starts, 18, 2, 3)
+        assert [ok.tolist() for ok in seen] == [[True, True, True, False, True], [True] * 4]
+        assert trial.tolist() == [3, 0]
+        assert [np.setdiff1d(np.arange(24), r).tolist() for r in rows] == [
+            [5, 10, 14, 18, 21, 22], [0, 7, 13, 14, 18, 21]]
+        assert objective.tolist() == [0.04738042080503414, 0.05520709236925362]
+        assert converged.tolist() == [False, False] and n_csteps == 8
+        # with 2 ones, both starts that fit turn degenerate at the first C-step: no second step
+        x, _ = dummy_design(24, 2, seed=17)
+        starts = concentration._draw(np.random.default_rng(17), 24, 2, 12)
+        seen.clear()
+        with pytest.raises(AllStartsDegenerate, match="all 12 trials on 24 rows with h=18 "):
+            concentration._phase(mcd._search_model(x, 18), starts, 18, 2, 3)
+        assert [ok.tolist() for ok in seen] == [[False, False]]
+
     @pytest.mark.parametrize("n, alpha", [(300, 0.25), (900, 0.25), (700, 0.0)])
     def test_csteps_total_counts_every_step_taken(self, monkeypatch, n, alpha):
         # starts without a one of the dummy drop at their opening fit, which is no C-step

@@ -23,7 +23,7 @@ from hibreak import (
     student_t_cdf,
 )
 from hibreak.core_stats import PIVOT_RTOL, cho_apply, cholesky_spd, factor_determinant, spd_factor
-from hibreak.core_stats import substitute
+from hibreak.core_stats import spd_inverse, substitute
 from hibreak.errors import DomainError, NotPositiveDefinite
 
 from conftest import random_regression
@@ -247,11 +247,27 @@ class TestScalarCholesky:
         rng = np.random.default_rng(31)
         low = np.array([cholesky_spd(random_spd(rng, 5)) for _ in range(12)])
         vectors, matrices = rng.normal(size=(12, 5)), rng.normal(size=(12, 5, 3))
-        for b in (vectors, matrices):
-            for back in (False, True):
-                stacked = substitute(low, b, back)
-                for t in range(12):
-                    np.testing.assert_array_equal(stacked[t], substitute(low[t], b[t], back))
+        for stack in (low, np.asfortranarray(low)):  # C order, and spd_factor's stack innermost
+            for b in (vectors, matrices):
+                for back in (False, True):
+                    stacked = substitute(stack, b, back)
+                    for t in range(12):
+                        np.testing.assert_array_equal(stacked[t], substitute(low[t], b[t], back))
+
+    @pytest.mark.parametrize("t", [1, 7, 98])
+    @pytest.mark.parametrize("k", [1, 2, 4, 10, 11])
+    def test_spd_inverse_bit_equal_to_identity_solves(self, t, k):
+        rng = np.random.default_rng(37)
+        a = np.array([random_spd(rng, k) for _ in range(t)])
+        if t > 1:
+            a[t // 2] = np.diag(np.r_[np.ones(k - 1), 0.0])  # LAPACK rejects it: the identity factor
+        low, ok = spd_factor(a)
+        assert low.flags.f_contiguous and ok.tolist() == [t == 1 or i != t // 2 for i in range(t)]
+        inverse = spd_inverse(low)
+        assert inverse.tobytes() == cho_apply(low, np.broadcast_to(np.eye(k), low.shape)).tobytes()
+        for i in range(t):
+            columns = [scalar_cho_solve(low[i].tolist(), column) for column in np.eye(k).tolist()]
+            assert inverse[i].tobytes() == np.array(columns).T.tobytes()
 
     def test_exact_lts_objective_matches_lts_objective(self):
         rng = np.random.default_rng(29)

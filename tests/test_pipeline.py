@@ -450,6 +450,26 @@ class TestRenderReport:
             "n_used\t20\t-\t-\t-\t17\t-\t-\t-\n"
         )
 
+    def test_markdown_model_line_escapes_names(self, tmp_path):
+        # a quoted header cell with a line break, named as the predictor
+        lines = ['row,y,"x\nnew"', *(f"r{i},{1 + 2 * i + (i * 7 % 5 - 2) / 10 + 30 * (i < 3)},{i}"
+                                     for i in range(20))]
+        model = ModelSpec("y", ("x\nnew",))
+        data = load_csv(write_csv(tmp_path / "name.csv", "\n".join(lines) + "\n"), model)
+        report = run_analysis(data, AnalysisConfig(model=model))
+        text = render_report(report, "markdown")
+        assert text.split("\n")[2] == "Model: y ~ const + x new (n = 20)"
+        assert json.loads(render_report(report, "json"))["ols"]["coefficient_names"] == ["const", "x\nnew"]
+        assert render_report(report, "tsv") == (  # the TSV writes names unescaped
+            "var\tols_coeff\tols_se\tols_t\tols_p\trobust_coeff\trobust_se\trobust_t\trobust_p\n"
+            "const\t+16.4\t3.828\t+4.285\t0.000446\t+0.9569\t0.08622\t+11.1\t1.247e-08\n"
+            "x\nnew\t+0.8526\t0.3444\t+2.476\t0.02347\t+2.004\t0.00716\t+279.9\t2.643e-29\n"
+            "r_squared\t0.254\t-\t-\t-\t0.9998\t-\t-\t-\n"
+            "f_value\t6.128\t-\t-\t-\t7.834e+04\t-\t-\t-\n"
+            "sigma\t8.882\t-\t-\t-\t0.1446\t-\t-\t-\n"
+            "n_used\t20\t-\t-\t-\t17\t-\t-\t-\n"
+        )
+
     def test_json_round_trip_renders_identically(self):
         report = run_analysis(mixed_outlier_instance(), AnalysisConfig(model=MODEL_XY))
         as_json = render_report(report, "json")
