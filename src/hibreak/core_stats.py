@@ -277,15 +277,20 @@ def gaussian_quantile(p: float) -> float:
 
 def mean_and_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise mean and sample covariance (denominator n-1) of an n x p matrix or a (T, n, p)
-    stack, computed on C-ordered values: the bits depend on the values, not the memory layout."""
-    x = np.ascontiguousarray(x, dtype=float)
+    stack: the bits depend on the values, not the memory layout."""
+    x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
         raise ValueError(f"expected an n x p matrix or a stack of them, got shape {x.shape}")
     n, p = x.shape[-2:]
     if n < p + 1:
         raise ValueError(f"need at least p+1={p + 1} rows for a p={p} covariance, got {n}")
-    center = x.sum(axis=-2) / n  # what x.mean(axis=-2) computes, without its wrapper
-    centered = x - center[..., None, :]
+    # Rows outermost, so that each row is added to all T * p sums at once: the order of
+    # x.sum(axis=-2), one row after another. At p = 1 that sum runs along a contiguous axis,
+    # pairwise, so there the rows stay innermost.
+    axis = 0 if p > 1 else -2
+    rows = np.ascontiguousarray(np.moveaxis(x, -2, axis))  # may be the caller's own memory
+    center = rows.sum(axis=axis) / n
+    centered = np.moveaxis(rows - np.expand_dims(center, axis), axis, -2)  # never in place
     scatter = centered.swapaxes(-1, -2) @ centered / (n - 1)
     return center, (scatter + scatter.swapaxes(-1, -2)) / 2.0
 

@@ -84,8 +84,10 @@ def evaluate_subsets(x: np.ndarray, subsets: np.ndarray):
     whose determinant is not finite, and fit(j) is the (mean, covariance)
     of subset kept[j].
     """
-    xs = np.take(x, subsets, axis=0)  # x[subsets], bit for bit and C-contiguous, at less cost
-    center, cov = mean_and_cov(xs)
+    # The layout mean_and_cov sums in, so that it copies nothing: from p = 2, each subset's rows
+    # outermost ((m, T, p) memory); np.take gives the values of x[subsets] at less cost
+    rows = np.take(x, subsets.T, axis=0).swapaxes(0, 1) if x.shape[1] > 1 else np.take(x, subsets, axis=0)
+    center, cov = mean_and_cov(rows)
     low, ok = spd_factor(cov)
     with np.errstate(over="ignore"):
         det = factor_determinant(low)

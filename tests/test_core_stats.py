@@ -502,14 +502,36 @@ class TestMeanAndCov:
         np.testing.assert_allclose(scatter, np.cov(x, rowvar=False, ddof=1), rtol=1e-10)
 
     def test_stack_matches_each_matrix_bit_for_bit(self, rng):
-        x = rng.normal(size=(6, 12, 3)) * 1e3 + 7.0
-        for stack in (x, np.asfortranarray(x)):  # the memory layout moves no bit
-            center, scatter = mean_and_cov(stack)
-            assert center.shape == (6, 3) and scatter.shape == (6, 3, 3)
-            for t in range(6):
-                for alone in (mean_and_cov(x[t]), mean_and_cov(np.asfortranarray(x[t]))):
-                    assert center[t].tobytes() == alone[0].tobytes()
-                    assert scatter[t].tobytes() == alone[1].tobytes()
+        def rows_innermost(x):  # the formula written out: a numpy that reorders its sum fails here
+            x = np.ascontiguousarray(x)
+            n = x.shape[-2]
+            center = x.sum(axis=-2) / n
+            centered = x - center[..., None, :]
+            scatter = centered.swapaxes(-1, -2) @ centered / (n - 1)
+            return center, (scatter + scatter.swapaxes(-1, -2)) / 2.0
+
+        for p in (1, 2, 10):
+            for n_stack in (1, 300):
+                for m in sorted({p + 1, max(p + 1, 9), 130, 300}):
+                    rows_outermost = rng.normal(size=(m, n_stack, p)) * 1e3 + 7.0
+                    x = np.ascontiguousarray(rows_outermost.swapaxes(0, 1))
+                    alone = [mean_and_cov(x[t]) for t in range(n_stack)]
+                    expected = rows_innermost(x)
+                    # the memory layout moves no bit
+                    for stack in (x, np.asfortranarray(x), rows_outermost.swapaxes(0, 1)):
+                        before = stack.copy()
+                        center, scatter = mean_and_cov(stack)
+                        np.testing.assert_array_equal(stack, before)  # the input is not written
+                        assert center.shape == (n_stack, p) and scatter.shape == (n_stack, p, p)
+                        assert center.tobytes() == expected[0].tobytes()
+                        assert scatter.tobytes() == expected[1].tobytes()
+                        for t in range(n_stack):
+                            assert center[t].tobytes() == alone[t][0].tobytes()
+                            assert scatter[t].tobytes() == alone[t][1].tobytes()
+                    for t in (0, n_stack - 1):  # one matrix in Fortran order
+                        center, scatter = mean_and_cov(np.asfortranarray(x[t]))
+                        assert center.tobytes() == alone[t][0].tobytes()
+                        assert scatter.tobytes() == alone[t][1].tobytes()
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
