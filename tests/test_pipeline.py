@@ -32,6 +32,7 @@ from hibreak.pipeline import (
     DroppedRow,
     ModelSpec,
     _comparison,
+    _read_plain,
     report_to_dict,
 )
 
@@ -591,6 +592,17 @@ class TestJsonWriter:
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+# Runs each argv list of a JSON list through cli.main; prints each report as one JSON string.
+RERUN = """
+import contextlib, io, json, sys
+from hibreak.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    print(json.dumps(out.getvalue()))
+"""
+
+
 def dataset_to_csv(data: Dataset, path):
     lines = ["label," + ",".join(data.column_names)]
     for i, label in enumerate(data.row_labels):
@@ -642,6 +654,19 @@ class TestCli:
         code = main(["analyze", path, "--response", "y", "--predictors", "x1",
                      "--oracle"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hibreak: input error: ") and err.count("\n") == 1
+
+    def test_oracle_flag_at_h_of_n_minus_one(self, tmp_path, capsys):
+        # h = 2999 in both searches: each oracle reads off the 3,000 subsets as the
+        # complements of one row and matches its search
+        path = dataset_to_csv(contaminated_instance(0, 3000, 1), tmp_path / "rows.csv")
+        code = main(["analyze", path, "--response", "y", "--predictors", "x1", "--alpha", "0.00034",
+                     "--mcd-h", "0.99975", "--oracle", "--format", "json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [report["config"][s]["h"] for s in ("lts", "mcd")] == [2999, 2999]
+        assert [report["oracle"][s]["match"] for s in ("lts", "mcd")] == [True, True]
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["analyze", str(tmp_path / "nope.csv"), "--response", "y",
@@ -767,6 +792,7 @@ class TestCli:
             ("overflowing_cell", 3, "hibreak: numerical failure: stage 'ols':"),
             ("huge_no_intercept", 3, "hibreak: numerical failure: stage 'mcd':"),
             ("huge_cells", 3, "hibreak: numerical failure: stage 'ols':"),
+            ("duplicate_label", 2, "hibreak: input error: duplicate row label 'a'"),
         ],
     )
     def test_error_exits_without_traceback(self, tmp_path, capsys, recwarn, case, code, prefix):
@@ -797,6 +823,8 @@ class TestCli:
             rows = "".join(f"r{i},{y!r},{a!r},{b!r}\n" for i, (y, a, b) in enumerate(cells.tolist()))
             path.write_text("c,y,x1,x2\n" + rows, encoding="utf-8")
             flags = ["--predictors", "x1,x2"]
+        elif case == "duplicate_label":
+            path.write_text(good.replace("r1,", "a,").replace("r3,", "a,"), encoding="utf-8")
         elif case == "negative_seed":
             flags = ["--seed", "-1"]
         else:
@@ -804,7 +832,7 @@ class TestCli:
         assert main(["analyze", str(path), "--response", "y", "--predictors", "x1", *flags]) == code
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(prefix)
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
         assert not recwarn.list
 
@@ -818,7 +846,7 @@ class TestCli:
                      not issubclass(cls, errors.HibreakError) and issubclass(cls, ValueError)]
             assert kinds.count(True) == 1, cls
 
-    def test_console_script_runs(self, tmp_path):
+    def test_module_entry_point_runs(self, tmp_path):
         path = dataset_to_csv(clean_instance(), tmp_path / "data.csv")
         proc = subprocess.run(
             [sys.executable, "-m", "hibreak.cli", "analyze", path,
@@ -830,20 +858,61 @@ class TestCli:
 
     def test_json_report_at_any_blas_thread_count(self, tmp_path):
         # OpenBLAS splits a dot product of over 10,000 elements across its threads
-        rng = np.random.default_rng(20000)
-        x = rng.standard_normal((20000, 2))
-        y = 1.0 + x.sum(axis=1) + rng.standard_normal(20000)
-        y[:4000] += 12.0
-        path = tmp_path / "rows.csv"
-        path.write_text("c,y,x1,x2\n" + "".join(
-            f"r{i},{v!r},{a!r},{b!r}\n" for i, (v, a, b) in enumerate(zip(y.tolist(), *x.T.tolist()))))
-        reports = [
-            subprocess.run(
-                [sys.executable, "-m", "hibreak.cli", "analyze", str(path),
-                 "--response", "y", "--predictors", "x1,x2", "--format", "json"],
+        path = dataset_to_csv(contaminated_instance(0, 20000, 2), tmp_path / "rows.csv")
+        outputs = []
+        for threads in ("1", "2"):
+            plot = tmp_path / f"map{threads}.json"
+            report = subprocess.run(
+                [sys.executable, "-m", "hibreak.cli", "analyze", path, "--response", "y",
+                 "--predictors", "x1,x2", "--format", "json", "--plot-data", str(plot)],
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True, check=True,
             ).stdout
-            for threads in ("1", "2")
+            outputs.append((report, plot.read_text(encoding="utf-8")))
+        assert outputs[0] == outputs[1]
+
+    def test_json_report_in_any_process(self, tmp_path):
+        # Each child runs every case through cli.main. String hashes differ between the
+        # children, and in the second malloc fills fresh and freed memory with a pattern,
+        # so a set iterated into the report, or workspace read before it is written,
+        # changes a byte. 5000 rows run all 5 subsamples, 700 the nested search, 500 the
+        # all-rows starts in blocks (at p = 10 too), 100 x 10 and 50 rows other block sizes.
+        cases, shapes = {}, ((5000, 2), (700, 2), (500, 2), (500, 10), (100, 10), (50, 2))
+        for n, p in shapes:
+            path = dataset_to_csv(contaminated_instance(0, n, p), tmp_path / f"rows{n}x{p}.csv")
+            cases[f"{n}x{p}"] = ["analyze", path, "--response", "y", "--predictors",
+                                 ",".join(f"x{j}" for j in range(1, p + 1)), "--format", "json"]
+        # nothing trimmed: both searches take the one start of every row
+        cases["700x2 untrimmed"] = [*cases["700x2"], "--alpha", "0", "--mcd-h", "1"]
+        children = [
+            subprocess.Popen([sys.executable, "-c", RERUN, json.dumps(list(cases.values()))],
+                             env={**os.environ, **extra}, stdout=subprocess.PIPE, text=True)
+            for extra in ({"PYTHONHASHSEED": "1"},
+                          {"PYTHONHASHSEED": "2", "MALLOC_PERTURB_": "165"})
         ]
-        assert reports[0] == reports[1]
+        runs = []
+        for child in children:
+            out, _ = child.communicate()
+            assert child.returncode == 0
+            runs.append(dict(zip(cases, map(json.loads, out.splitlines()))))
+        for name in cases:
+            assert runs[0][name] == runs[1][name], name
+        assert all(json.loads(runs[0][f"{n}x{p}"])["dropped"] for n, p in shapes)
+
+    def test_both_readers_give_the_same_report_and_map(self, tmp_path, capsys):
+        # quoted labels and CRLF line ends take the csv-module reader, the plain file the fast one
+        plain = tmp_path / "plain.csv"
+        dataset_to_csv(contaminated_instance(0, 700, 2), plain)
+        head, *rows = plain.read_text(encoding="utf-8").splitlines()
+        quoted = tmp_path / "quoted.csv"
+        quoted_rows = ['"' + row.replace(",", '",', 1) for row in rows]
+        quoted.write_bytes("\r\n".join([head, *quoted_rows, ""]).encode())
+        outputs = []
+        for path, lane in ((plain, "fast"), (quoted, "csv")):
+            text = path.read_bytes().decode("utf-8")
+            assert (_read_plain(text) is None) == (lane == "csv")
+            plot = tmp_path / f"{lane}.json"
+            assert main(["analyze", str(path), "--response", "y", "--predictors", "x1,x2",
+                         "--format", "json", "--plot-data", str(plot)]) == 0
+            outputs.append((capsys.readouterr().out, plot.read_text(encoding="utf-8")))
+        assert outputs[0] == outputs[1]

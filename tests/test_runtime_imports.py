@@ -1,5 +1,6 @@
 """The runtime imports numpy and the standard library only; scipy is a test dependency."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +20,18 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == ""
+
+
+def imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_only_the_core_stats_tests_import_scipy():
+    # CI runs the suite on the installed package without scipy and ignores this one module
+    importers = {path.name for path in Path(__file__).parent.glob("*.py")
+                 if any(module.split(".")[0] == "scipy" for module in imported_modules(path))}
+    assert importers == {"test_core_stats.py"}
