@@ -4,13 +4,14 @@ FAST-LTS and FAST-MCD (Rousseeuw & Van Driessen 2006 and 1999) share one
 schedule: many small starts take two concentration steps (C-steps) each,
 then the n_best_kept best iterate to convergence. A C-step refits on the
 h rows that score lowest under the current fit, which never increases
-the objective. Each part is one _phase, rows in and rows out, batched as
-(T, n) scores, their 0/1 masks of the h lowest (one partition per C-step)
-and fits from mask times per-row terms (one matmul), all written into one
-two-buffer workspace per search. Above NESTED_MIN_N rows, disjoint random
-subsamples screen the starts and their union the rows the best of each
-select, so the start phase does not grow with n (the nested extension of
-both papers).
+the objective. Each part is one _phase, rows in and rows out, that moves
+its trials one step at a time: per row block, (T, n) scores, their 0/1
+masks of the h lowest (one partition per C-step) and the sums of per-row
+terms under each mask (one matmul), in one two-buffer workspace per
+search; per batch of row blocks, one factorization of every trial's sums.
+Above NESTED_MIN_N rows, disjoint random subsamples screen the starts and
+their union the rows the best of each select, so the start phase does not
+grow with n (the nested extension of both papers).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ NESTED_MIN_N = 600
 SUBSAMPLE_ROWS = 300
 MAX_SUBSAMPLES = 5
 
-# Memory budget of a block of T trials: entries of its (T, c) sums of the n x c
-# per-row terms, and half as many again for each of its two (T, n) arrays.
+# Memory budget of T trials: entries of a batch's (T, c) sums of the n x c per-row
+# terms, and half as many again for each of a row block's two (T, n) arrays.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -49,21 +50,24 @@ _BLOCK_ELEMENTS = 1 << 15
 class Model:
     """The model-specific pieces of a search.
 
-    fit(terms summed over each trial's rows, row count, out) returns (params,
-    objectives, ok): a tuple of arrays with a leading trial axis, and the
-    (T,) objectives and non-degenerate mask. select(params, out) gives the
-    (T, n) 0/1 masks of the h rows each fit scores lowest in out[1], which
-    the next fit may reuse once it has their sums; both write into out, a
-    pair of (T, n) arrays, or allocate if None. refit is the estimator's
-    exact subset evaluator (lts.evaluate_subsets or mcd.evaluate_subsets,
-    which its oracle and public C-step use too); one call on the stacked
-    rows of the refined trials ranks them and gives the winner's estimate.
+    fit(terms summed over each trial's rows, row count) returns (params,
+    objectives, ok) of a batch of trials: a tuple of arrays with a leading
+    trial axis, and the (T,) objectives and non-degenerate mask; where the
+    objective needs every row (LTS), fit gives None for it and rows(params,
+    ok, out) completes the fits of a row block. select(params, out) gives
+    the (T, n) 0/1 masks of the h rows each fit scores lowest in out[1];
+    rows and select write into out, a pair of (T, n) arrays, or allocate if
+    None. refit is the estimator's exact subset evaluator
+    (lts.evaluate_subsets or mcd.evaluate_subsets, which its oracle and
+    public C-step use too); one call on the stacked rows of the refined
+    trials ranks them and gives the winner's estimate.
     """
 
     terms: np.ndarray
-    fit: Callable[..., tuple[tuple, np.ndarray, np.ndarray]]
+    fit: Callable[..., tuple[tuple, np.ndarray | None, np.ndarray]]
     select: Callable[..., np.ndarray]
     refit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Callable[[int], Any]]]
+    rows: Callable[..., tuple[tuple, np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -167,11 +171,6 @@ def _views(work: list | None, shape: tuple) -> list:
     return [buffer[:size].reshape(shape) for buffer in work]
 
 
-def _c_step(model: Model, params: tuple, h: int, work: list | None = None):
-    out = _views(work, (len(params[0]), model.terms.shape[0]))
-    return model.fit(model.select(params, out) @ model.terms, h, out)
-
-
 def _distinct(masks: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the first and the last copy of each distinct row of masks (0/1, h ones each)."""
     if not len(masks):  # argmax rejects an empty axis
@@ -185,47 +184,65 @@ def _phase(model: Model, starts: np.ndarray, h: int, steps: int, keep: int,
            objective: np.ndarray | None = None, optional: bool = False, work: list | None = None):
     """Fit each start (a row of starts holds its rows), take up to steps C-steps, keep the best.
 
-    A trial stops after steps C-steps or, given the objective of the fits
-    that selected starts (refinement), once a fit, the opening one too,
+    Trials advance a step at a time in batches of row blocks: each row block
+    completes its fits (model.rows) in the workspace work, stops trials and
+    sums the rows the others select, then one model.fit call factors the
+    batch. A trial stops after steps C-steps or, given the objective of the
+    fits that selected starts (refinement), once a fit, the opening one too,
     changes it by at most CONVERGENCE_RTOL; screening passes none, as a
     start's objective is not comparable with an h-row one. The keep best
-    stopped fits by (objective, trial), the only ones to leave the workspace
-    work, hand on the h rows they select, each set once, as its first fit in
-    rank with its last (highest) objective: refinement stops it no earlier
-    than any copy. A degenerate trial is dropped alone; a phase left with
-    none raises AllStartsDegenerate unless optional.
+    stopped fits by (objective, trial), the only ones to leave the
+    workspace, hand on the h rows they select, each set once, as its first
+    fit in rank with its last (highest) objective: refinement stops it no
+    earlier than any copy. A degenerate trial is dropped alone; a phase left
+    with none raises AllStartsDegenerate unless optional.
     Returns (trial, rows, objective, converged, n_csteps): trial indexes
     starts, ranked, and n_csteps counts the C-steps that did not turn degenerate.
     """
     (n, c), n_csteps = model.terms.shape, 0
     block = max(1, min(3 * _BLOCK_ELEMENTS // (2 * n), _BLOCK_ELEMENTS // c))
+    batch = block * max(1, (_BLOCK_ELEMENTS // c) // block)
     finished = []  # (objectives, trials, converged, *params) of stopped trials
-    for first in range(0, len(starts), block):
-        trial = np.arange(first, min(first + block, len(starts)))
-        out = _views(work, (len(trial), n))
-        out[1][...] = 0.0
-        out[1].reshape(-1)[starts[trial] + np.arange(0, len(trial) * n, n)[:, None]] = 1.0
-        params, new, ok = model.fit(out[1] @ model.terms, starts.shape[1], out)
-        old = new if objective is None else objective[trial]
+    for first in range(0, len(starts), batch):
+        trials = [np.arange(b, min(b + block, len(starts)))
+                  for b in range(first, min(first + batch, len(starts)), block)]
+        olds = [None if objective is None else objective[t] for t in trials]
+        sums, size = np.empty((min(batch, len(starts) - first), c)), 0
+        for trial in trials:
+            out = _views(work, (len(trial), n))
+            out[1][...] = 0.0
+            out[1].reshape(-1)[starts[trial] + np.arange(0, len(trial) * n, n)[:, None]] = 1.0
+            np.matmul(out[1], model.terms, out=sums[size : size + len(trial)])
+            size += len(trial)
         for step in range(steps + 1):
-            if step:
-                if not live.all():
-                    new, trial, params = new[live], trial[live], _take(params, live)
-                old = new
-                params, new, ok = _c_step(model, params, h, work)
-                n_csteps += int(ok.sum())
-            if objective is None and step < steps and ok.any():  # screening stops no trial here
-                live = ok
-                continue
-            converged = old - new <= CONVERGENCE_RTOL * old
-            done = ok & ((converged & (objective is not None)) | (step == steps))
-            stopped = np.flatnonzero(done)
-            if len(stopped) > keep:  # only the best keep can stay: take no other fit
-                stopped = stopped[np.lexsort((trial[stopped], new[stopped]))[:keep]]
-            finished.append(_take((new, trial, converged, *params), stopped))
-            live = ok ^ done  # done is within ok
-            if not live.any():
+            fitted, going, size, read = model.fit(sums[:size], h if step else starts.shape[1]), [], 0, 0
+            for trial, old in zip(trials, olds):
+                out, part = _views(work, (len(trial), n)), slice(read, read := read + len(trial))
+                params, new, ok = _take(fitted[0], part), fitted[1], fitted[2][part]
+                params, new, ok = model.rows(params, ok, out) if model.rows else (params, new[part], ok)
+                n_csteps += np.count_nonzero(ok) if step else 0
+                old = new if old is None else old
+                live = ok  # screening stops no trial before its last step
+                if objective is not None or step == steps or not ok.any():
+                    converged = old - new <= CONVERGENCE_RTOL * old
+                    done = ok & ((converged & (objective is not None)) | (step == steps))
+                    stopped = np.flatnonzero(done)
+                    if len(stopped) > keep:  # only the best keep can stay: take no other fit
+                        stopped = stopped[np.lexsort((trial[stopped], new[stopped]))[:keep]]
+                    finished.append(_take((new, trial, converged, *params), stopped))
+                    live = ok ^ done  # done is within ok
+                if count := np.count_nonzero(live):  # every fit selects; the live ones' sums stay
+                    rows = sums[size : size + len(trial)]
+                    np.matmul(model.select(params, out), model.terms, out=rows)
+                    if count < len(trial):
+                        trial, new = trial[live], new[live]
+                        rows[:count] = rows[live]
+                    going.append((trial, new))
+                    size += count
+            del fitted, params  # not alive beside the next fit's stacks
+            if not going:
                 break
+            trials, olds = zip(*going)
         merged = tuple(map(np.concatenate, zip(*finished)))
         finished = [_take(merged, np.lexsort((merged[1], merged[0]))[:keep])]
     if not optional and not sum(len(f[1]) for f in finished):  # finished is [] without starts

@@ -119,17 +119,19 @@ def _search_model(x: np.ndarray, y: np.ndarray, h: int) -> Model:
     n, k = x.shape
     terms = np.hstack([(x[:, :, None] * x[:, None, :]).reshape(n, k * k), x * y[:, None]])
 
-    def fit(sums, count, out=(None, None)):
+    def fit(sums, count):
         low, ok = spd_factor(sums[:, : k * k].reshape(-1, k, k))
-        beta = cho_apply(low, sums[:, k * k :])
-        r2 = np.matmul(beta, x.T, out=out[0])  # (y - beta @ x.T) ** 2, in place
+        return (cho_apply(low, sums[:, k * k :]),), None, ok
+
+    def rows(params, ok, out=(None, None)):
+        r2 = np.matmul(params[0], x.T, out=out[0])  # (y - beta @ x.T) ** 2, in place
         np.square(np.subtract(y, r2, out=r2), out=r2)
         lowest = partitioned(r2, h - 1, out[1])  # the objective, and the next selection's threshold
         objective = lowest[:, :h].sum(axis=1)
         ok &= np.isfinite(objective)  # overflowed: degenerate
-        return (beta, r2, lowest[:, h - 1 : h].copy()), objective, ok  # select overwrites out[1]
+        return (params[0], r2, lowest[:, h - 1 : h].copy()), objective, ok  # select overwrites out[1]
 
-    return Model(terms=terms, fit=fit,
+    return Model(terms=terms, fit=fit, rows=rows,
                  select=lambda params, out=(None, None): lowest_mask(params[1], h, out[1], params[2]),
                  refit=lambda subsets: evaluate_subsets(x, y, subsets, h))
 

@@ -106,10 +106,11 @@ def _search_model(x: np.ndarray, h: int) -> Model:
     squares = (xc[:, :, None] * xc[:, None, :]).reshape(n, p * p)
     terms = np.hstack([xc, squares])
 
-    def fit(sums, count, out=None):
+    def fit(sums, count):
         mean = sums[:, :p] / count
-        second = sums[:, p:].reshape(-1, p, p) / count
-        cov = (second - mean[:, :, None] * mean[:, None, :]) * (count / (count - 1))
+        cov = sums[:, p:].reshape(-1, p, p) / count  # the second moments, then in place the covariance
+        cov -= mean[:, :, None] * mean[:, None, :]
+        cov *= count / (count - 1)
         low, ok = spd_factor(cov)
         precision = spd_inverse(low)
         det = factor_determinant(low)

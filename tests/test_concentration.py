@@ -22,6 +22,19 @@ def start_mask(n, rows):
     return mask
 
 
+def stack_fit(model, sums, count, out=(None, None)):
+    """The fits of one stack of trials from their sums, completed as the phase loop completes a
+    row block's (LTS: model.rows, in out); out=(None, None) allocates."""
+    params, objective, ok = model.fit(sums, count)
+    return model.rows(params, ok, out) if model.rows else (params, objective, ok)
+
+
+def stack_c_step(model, params, h, work=None):
+    """One C-step of one stack of trials, in the workspace work (None: fresh arrays)."""
+    out = concentration._views(work, (len(params[0]), model.terms.shape[0]))
+    return stack_fit(model, model.select(params, out) @ model.terms, h, out)
+
+
 class TestTieRule:
     def test_matches_stable_argsort(self, rng):
         # small integers force many exact ties at the h-th value
@@ -67,9 +80,9 @@ class TestDiscard:
         data = make_dataset(x, 2.0 * x + rng.normal(size=20))
         model = lts._search_model(data.design_matrix(), data.response_vector(), 15)
         masks = np.vstack([start_mask(20, rows) for rows in ([0, 1, 2], [3, 4, 5], [6, 7, 9])])
-        params, objective, ok = model.fit(masks @ model.terms, 3)
+        params, objective, ok = stack_fit(model, masks @ model.terms, 3)
         np.testing.assert_array_equal(ok, [True, False, True])
-        alone_params, alone_objective, _ = model.fit(masks[[0, 2]] @ model.terms, 3)
+        alone_params, alone_objective, _ = stack_fit(model, masks[[0, 2]] @ model.terms, 3)
         np.testing.assert_allclose(params[0][[0, 2]], alone_params[0], rtol=1e-12)
         np.testing.assert_allclose(objective[[0, 2]], alone_objective, rtol=1e-12)
 
@@ -92,9 +105,9 @@ class TestDiscard:
         x[[3, 4, 6]] = [[0.5, 0.0], [0.5, 1.0], [0.5, 3.0]]  # collinear: singular covariance
         model = mcd._search_model(x, 15)
         masks = np.vstack([start_mask(20, rows) for rows in ([0, 1, 2], [3, 4, 6], [7, 8, 9])])
-        params, det, ok = model.fit(masks @ model.terms, 3)
+        params, det, ok = stack_fit(model, masks @ model.terms, 3)
         np.testing.assert_array_equal(ok, [True, False, True])
-        alone_params, alone_det, _ = model.fit(masks[[0, 2]] @ model.terms, 3)
+        alone_params, alone_det, _ = stack_fit(model, masks[[0, 2]] @ model.terms, 3)
         np.testing.assert_allclose(det[[0, 2]], alone_det, rtol=1e-12)
         np.testing.assert_allclose(params[0][[0, 2]], alone_params[0], rtol=1e-12)
 
@@ -127,6 +140,51 @@ class TestBlockInvariance:
         np.testing.assert_array_equal(moved.robust_distances, base.robust_distances)
         assert moved.raw_determinant == base.raw_determinant
 
+    @pytest.mark.parametrize("elements", [1, 1 << 11, 1 << 40])
+    @pytest.mark.parametrize("design", ["several_row_blocks", "nested", "degenerate_between_steps"])
+    def test_batches_bit_identical(self, monkeypatch, design, elements):
+        # by default 500 rows hold 98 trials a row block and a batch all 500 starts; 2^11
+        # entries make row blocks of 6 trials and batches of 11 to 56 of them; 700 rows take
+        # the nested search; with 100 ones of a dummy in 500 rows most starts are degenerate
+        # and MCD trials turn degenerate at both screening steps, so the live trials move up
+        # inside a batch
+        rng = np.random.default_rng(35)
+        if design == "degenerate_between_steps":
+            x, y = dummy_design(500, 100)
+        else:
+            data = random_regression(rng, 700 if design == "nested" else 500,
+                                     3 if design == "nested" else 5, outlier_fraction=0.2)
+            x, y = data.design_matrix()[:, 1:], data.response_vector()
+        seen = spy_on_steps(monkeypatch)
+        base = searches(x, y)
+        if design == "degenerate_between_steps":
+            assert not all(ok.all() for ok in seen) and isinstance(base[1], str)
+        monkeypatch.setattr(concentration, "_BLOCK_ELEMENTS", elements)
+        moved = searches(x, y)
+        assert_same_fit(moved[0], base[0])
+        if isinstance(base[1], str):
+            assert moved[1] == base[1]
+        else:
+            for a, b in zip((*moved[1].estimate, moved[1].rows), (*base[1].estimate, base[1].rows)):
+                assert_same_bits(a, b)
+            assert (moved[1].objective, moved[1].converged, moved[1].n_csteps) == (
+                base[1].objective, base[1].converged, base[1].n_csteps)
+
+
+def searches(x, y):
+    """fit_lts on (x, y) and the Search of fit_mcd on x, which counts its C-steps, or the
+    AllStartsDegenerate message of each."""
+    n, p = x.shape
+    found = []
+    for search in (lambda: fit_lts(make_dataset(x, y)),
+                   lambda: concentration.run_search(lambda rows, h: mcd._search_model(x[rows], h),
+                                                    n, p, mcd.subset_size(n, 0.75), McdConfig())):
+        try:
+            found.append(search())
+        except AllStartsDegenerate as error:
+            found.append(str(error))
+    return found
+
 
 class TestPublicStepsAgreeWithDriver:
     def test_c_step_matches_first_driver_step(self, rng):
@@ -135,12 +193,12 @@ class TestPublicStepsAgreeWithDriver:
             x, y, h = data.design_matrix(), data.response_vector(), 23
             start = np.sort(rng.choice(30, size=4, replace=False))
             model = lts._search_model(x, y, h)
-            params, _, ok = model.fit(start_mask(30, start) @ model.terms, 4)
+            params, _, ok = stack_fit(model, start_mask(30, start) @ model.terms, 4)
             if not ok[0]:
                 continue
             beta0 = params[0][0]
             mask = model.select(params)
-            _, objective, ok = concentration._c_step(model, params, h)
+            _, objective, ok = stack_c_step(model, params, h)
             try:
                 _, public_objective, subset = c_step(data, beta0, h)
             except NotPositiveDefinite:
@@ -156,11 +214,11 @@ class TestPublicStepsAgreeWithDriver:
             h = 22
             start = np.sort(rng.choice(30, size=3, replace=False))
             model = mcd._search_model(x, h)
-            params, _, ok = model.fit(start_mask(30, start) @ model.terms, 3)
+            params, _, ok = stack_fit(model, start_mask(30, start) @ model.terms, 3)
             if not ok[0]:
                 continue
             mask = model.select(params)
-            _, det, ok = concentration._c_step(model, params, h)
+            _, det, ok = stack_c_step(model, params, h)
             center, cov = mean_and_cov(x[start])
             try:
                 new_center, new_cov, subset, public_det = mcd_c_step(x, center, cov, h)
@@ -370,15 +428,39 @@ def dummy_design(n, ones, seed=0):
     return x, 1.0 + x[:, 0] + 2.0 * x[:, 1] + rng.standard_normal(n)
 
 
-def spy_on_steps(monkeypatch):
-    """The ok mask of every C-step the search takes, in call order."""
-    seen, step = [], concentration._c_step
+def spy_on_steps(monkeypatch, on_fit=lambda sums: None):
+    """The ok mask of every C-step the search takes, in call order, of each row block for LTS,
+    which completes its fits there; on_fit sees the sums each C-step's batch fit takes.
 
-    def spy(*args):
-        out = step(*args)
-        seen.append(out[2])
-        return out
-    monkeypatch.setattr(concentration, "_c_step", spy)
+    A C-step's fit follows the phase loop's selections, made in the workspace; a phase's
+    opening fit follows none, and its closing selection allocates."""
+    seen, state = [], {"selected": False, "step": False}
+
+    def build(*args, _build):
+        model = _build(*args)
+
+        def select(params, out=(None, None)):
+            state["selected"] |= out[0] is not None
+            return model.select(params, out)
+
+        def fit(sums, count):
+            fitted = model.fit(sums, count)
+            state["step"], state["selected"] = state["selected"], False
+            if state["step"]:
+                on_fit(sums)
+                if not model.rows:
+                    seen.append(fitted[2])
+            return fitted
+
+        def rows(*args):
+            fitted = model.rows(*args)
+            if state["step"]:
+                seen.append(fitted[2])
+            return fitted
+        return replace(model, select=select, fit=fit, rows=model.rows and rows)
+    for module in (lts, mcd):
+        monkeypatch.setattr(module, "_search_model",
+                            lambda *args, _build=module._search_model: build(*args, _build=_build))
     return seen
 
 
@@ -499,7 +581,7 @@ class TestPhaseLoop:
         trial, rows, _, converged, _ = every = rerun_keeping_every_trial(monkeypatch, *phases[1][:2])
         masks = np.zeros((len(given), 200))
         np.put_along_axis(masks, given, 1.0, axis=1)
-        params, _, _ = model.fit(masks @ model.terms, h)
+        params, _, _ = stack_fit(model, masks @ model.terms, h)
         selected = model.select(params)
         for i, t in enumerate(trial):
             np.testing.assert_array_equal(rows[i], np.flatnonzero(selected[t]))
@@ -655,7 +737,7 @@ class TestWorkspace:
         starts = concentration._draw(np.random.default_rng(1), 60, 2, 40)
         mask = np.zeros((40, 60))
         np.put_along_axis(mask, starts, 1.0, axis=1)
-        fresh, _, ok = model.fit(mask @ model.terms, 3)
+        fresh, _, ok = stack_fit(model, mask @ model.terms, 3)
         kept, work, compacted = fresh, [np.empty(0)] * 2, 0
         for step in range(4):
             if not ok.any():
@@ -666,8 +748,8 @@ class TestWorkspace:
             compacted += not ok.all()
             selected = model.select(fresh)
             assert_same_bits(model.select(kept), selected)  # kept's LTS scores are in work[0]
-            expected = concentration._c_step(model, fresh, 45)
-            got = concentration._c_step(model, kept, 45, work)
+            expected = stack_c_step(model, fresh, 45)
+            got = stack_c_step(model, kept, 45, work)
             for a, b in zip((*got[0], *got[1:]), (*expected[0], *expected[1:])):
                 assert_same_bits(a, b)
             scratch = work[1][: selected.size].reshape(selected.shape)
@@ -713,13 +795,13 @@ class TestOnePartitionPerStep:
         starts = concentration._draw(rng, 60, 3, 20)
         mask = np.zeros((20, 60))
         np.put_along_axis(mask, starts, 1.0, axis=1)
-        params, _, ok = model.fit(mask @ model.terms, 4)
+        params, _, ok = stack_fit(model, mask @ model.terms, 4)
         params = concentration._take(params, ok)
         monkeypatch.setattr(concentration, "partitioned", spy("concentration"))
         monkeypatch.setattr(lts, "partitioned", spy("lts"))
         work = [np.empty(0)] * 2
         for _ in range(3):
-            params, _, ok = concentration._c_step(model, params, 45, work)
+            params, _, ok = stack_c_step(model, params, 45, work)
             assert calls == ["lts" if estimator == "lts" else "concentration"]
             params, calls[:] = concentration._take(params, ok), []
 
@@ -733,7 +815,7 @@ class TestOnePartitionPerStep:
         mask = np.zeros((len(starts), 40))
         np.put_along_axis(mask, starts, 1.0, axis=1)
         work = concentration._views(None, mask.shape)  # shared by fit and select, as in a C-step
-        params, _, ok = model.fit(mask @ model.terms, 4, work)
+        params, _, ok = stack_fit(model, mask @ model.terms, 4, work)
         r2 = params[1].copy()
         assert ok.all() and np.array_equal(r2, np.round(r2))
         assert ((r2 <= params[2]).sum(axis=1) > 30).mean() > 0.5  # the tie fix-up runs
@@ -743,24 +825,56 @@ class TestOnePartitionPerStep:
 
 
 class TestBlockRule:
+    # a row block holds the trials whose two (T, n) arrays fit the rows budget, a batch the most
+    # row blocks whose (T, c) sums fit the terms budget, and at least one
+    BATCH = {50: 248, 200: 980, 500: 1078, 20000: 1092}
+
     @pytest.mark.parametrize("n, k, block", [(50, 11, 248), (200, 5, 245), (500, 5, 98),
                                              (20000, 5, 2)])
     def test_blocks_fit_the_rows_and_terms_budgets(self, rng, n, k, block):
         # k coefficients give k * k + k terms a row: 132 at k = 11, 30 at k = 5
         model = lts._search_model(rng.standard_normal((n, k)), rng.standard_normal(n), n // 2)
-        c = model.terms.shape[1]
+        c, batch = model.terms.shape[1], self.BATCH[n]
         assert block == max(1, min(3 * 2**15 // (2 * n), 2**15 // c))
-        sizes, fit = [], model.fit
+        assert batch == block * max(1, 2**15 // c // block) and batch * c <= 2**15
+        fits, rows = [], []
 
-        def spy(sums, *args):
-            sizes.append(len(sums))
-            return fit(sums, *args)
-        starts = concentration._draw(rng, n, k - 1, 2 * block + 1)
+        def fit(sums, *args):
+            fits.append(len(sums))
+            return model.fit(sums, *args)
+
+        def complete(params, *args):
+            rows.append(len(params[0]))
+            return model.rows(params, *args)
+        # a full batch, then a batch of a full row block and one trial
+        starts = concentration._draw(rng, n, k - 1, batch + block + 1)
         work = [np.empty(0)] * 2
-        concentration._phase(replace(model, fit=spy), starts, n // 2, 0, 1, work=work)
-        assert sizes == [block, block, 1]
+        concentration._phase(replace(model, fit=fit, rows=complete), starts, n // 2, 0, 1, work=work)
+        assert fits == ([batch, block + 1] if batch > block else [block, block, 1])
+        assert rows == [block] * (batch // block) + [block, 1]
         # within the three (T, n) buffers of at most max(2^15, n) entries of before
         assert len(work) == 2 and sum(map(len, work)) <= 3 * max(2**15, n)
+
+    @pytest.mark.parametrize("estimator, n, p, per_step", [
+        ("lts", 500, 2, 1), ("mcd", 500, 2, 1), ("lts", 50, 10, 3), ("mcd", 50, 10, 2)])
+    def test_fit_calls_per_step(self, rng, estimator, n, p, per_step):
+        # at n = 500, 500 starts fill six row blocks of 98 trials, and one batch fits them all at
+        # each step; at n = 50, p = 10 a batch is one row block of 248 LTS or 297 MCD trials, so
+        # each step takes one fit call per row block
+        if estimator == "lts":
+            data = random_regression(rng, n, p + 1, outlier_fraction=0.2)
+            model = lts._search_model(data.design_matrix(), data.response_vector(), 3 * n // 4)
+        else:
+            model = mcd._search_model(random_points(rng, n, p, outliers=n // 5), 3 * n // 4)
+        sizes = []
+
+        def fit(sums, *args):
+            sizes.append(len(sums))
+            return model.fit(sums, *args)
+        starts = concentration._draw(rng, n, p + (estimator == "lts"), 500)
+        got = concentration._phase(replace(model, fit=fit), starts, 3 * n // 4, 2, 10)
+        assert got[4] == 2 * 500  # no trial turns degenerate
+        assert len(sizes) == 3 * per_step and sum(sizes) == 3 * 500
 
 
 def search_fits(x, y):
@@ -836,14 +950,11 @@ class TestEachRowSetOnce:
             with monkeypatch.context() as patched:
                 if keep_every:
                     keep_every_trial(patched)
-                phases = spy_on_phases(patched)
-                steps, step = [], concentration._c_step
-
-                def spy(model, params, *args):
-                    masks = model.select(params)  # before the step overwrites the workspace
-                    steps.append((len(phases), {m.tobytes() for m in masks}, len(masks)))
-                    return step(model, params, *args)
-                patched.setattr(concentration, "_c_step", spy)
+                phases, steps = spy_on_phases(patched), []
+                # a fit's sums of terms over its rows tell its row set; sums of the same rows
+                # have the same bits wherever they stand in a batch
+                spy_on_steps(patched, lambda sums: steps.append(
+                    (len(phases), {s.tobytes() for s in sums}, len(sums))))
                 fit_lts(make_dataset(x, y)) if estimator == "lts" else fit_mcd(x)
             given = phases[-1][0][1]  # the rows refinement starts from
             runs.append((given, [s[1:] for s in steps if s[0] == len(phases) - 1]))
@@ -851,6 +962,6 @@ class TestEachRowSetOnce:
         assert len(given) < len(given_every) == LtsConfig().n_best_kept
         assert len({r.tobytes() for r in given}) == len(given)
         assert once and len(once) == len(every)
-        for (masks, trials), (masks_every, _) in zip(once, every):
-            assert masks == masks_every and trials <= len(given)
+        for (row_sets, trials), (row_sets_every, _) in zip(once, every):
+            assert row_sets == row_sets_every and trials <= len(given)
         assert sum(t for _, t in once) < sum(t for _, t in every)
